@@ -13,13 +13,13 @@ import json
 import platform
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 import scipy
 
-from .energy import EIGHT_PI, perturbed_functional
+from .energy import _check_epsilon, perturbed_functional
 from .errors import (
     ConvergenceError,
     DataError,
@@ -72,83 +72,6 @@ _COMMANDS = (
 _SEED_SCHEME = "child_seed = seed * 1000003 + index"
 
 
-@dataclass(frozen=True)
-class RunSpec:
-    """Fully resolved inputs of one harness run.
-
-    tolerance, max_iterations, amplitude and grid_n default to None, meaning
-    "use the command's own default"; everything else carries its value
-    directly.  Validation of numeric ranges is left to the library calls so
-    the failure surface is identical for CLI and programmatic use.
-    """
-
-    command: str
-    mesh_level: int = 4
-    metric_seed: int = 0
-    metric_amplitude: float = 0.0
-    epsilons: tuple = (0.5,)
-    seed: int = 0
-    tolerance: float | None = None
-    max_iterations: int | None = None
-    output_dir: str | None = None
-    mesh_file: str | None = None
-    bands: int = 8
-    amplitude: float | None = None
-    pole: int = 0
-    bubble_radius: float = 1.0
-    t_end: float = 10.0
-    dt0: float = 0.01
-    a: float = float(np.pi)
-    b: float = 0.0
-    r: float = 1.0
-    grid_n: int | None = None
-    samples: int = 200
-    trials: int = 5
-    p: float = 2.0
-    delta: float = float(2.0 * np.pi)
-    plots: bool = True
-
-    def __post_init__(self):
-        if self.command not in _COMMANDS:
-            raise ParameterError(f"unknown command '{self.command}'")
-        if not self.epsilons:
-            raise ParameterError("at least one epsilon value is required")
-        for eps in self.epsilons:
-            if not np.isfinite(eps) or not 0.0 < eps < EIGHT_PI:
-                raise ParameterError("every epsilon must lie in (0, 8*pi)")
-
-
-# Config keys mirror the flag spellings (no leading dashes).
-_INT_KEYS = {
-    "level",
-    "metric-seed",
-    "seed",
-    "max-iter",
-    "bands",
-    "pole",
-    "grid-n",
-    "samples",
-    "trials",
-}
-_FLOAT_KEYS = {
-    "metric-amp",
-    "tol",
-    "amp",
-    "R",
-    "t-end",
-    "dt0",
-    "a",
-    "b",
-    "r",
-    "p",
-    "delta",
-}
-_STR_KEYS = {"out", "mesh-file"}
-_LIST_KEYS = {"eps"}
-_BOOL_KEYS = {"plots"}
-_ALL_KEYS = _INT_KEYS | _FLOAT_KEYS | _STR_KEYS | _LIST_KEYS | _BOOL_KEYS
-
-
 def _parse_eps(text: str) -> tuple:
     try:
         values = tuple(float(tok) for tok in text.split(",") if tok.strip())
@@ -159,24 +82,82 @@ def _parse_eps(text: str) -> tuple:
     return values
 
 
-def _convert(key: str, raw: str):
-    try:
-        if key in _INT_KEYS:
-            return int(raw)
-        if key in _FLOAT_KEYS:
-            return float(raw)
-        if key in _LIST_KEYS:
-            return _parse_eps(raw)
-        if key in _BOOL_KEYS:
-            lowered = raw.lower()
-            if lowered in ("true", "yes", "1"):
-                return True
-            if lowered in ("false", "no", "0"):
-                return False
-            raise ValueError(f"not a boolean: '{raw}'")
-        return raw
-    except ValueError as exc:
-        raise ParameterError(f"bad value for config key '{key}': {exc}") from exc
+def _parse_bool(text: str) -> bool:
+    lowered = text.lower()
+    if lowered in ("true", "yes", "1"):
+        return True
+    if lowered in ("false", "no", "0"):
+        return False
+    raise ValueError(f"not a boolean: '{text}'")
+
+
+def _option(key: str, default, convert, help_text: str):
+    """A RunSpec field that is also the flag --<key> and the config key <key>.
+
+    A boolean option defaulting to True is switched off by --no-<key>.
+    """
+    return field(
+        default=default, metadata={"key": key, "convert": convert, "help": help_text}
+    )
+
+
+@dataclass(frozen=True)
+class RunSpec:
+    """Fully resolved inputs of one harness run, and the CLI's option table.
+
+    Every field but ``command`` is one option: its metadata names the flag
+    and config key and the converter from text.  tolerance, max_iterations,
+    amplitude and grid_n default to None, meaning "use the command's own
+    default"; output_dir defaults to runs/<command>.  Validation of numeric
+    ranges is left to the library calls so the failure surface is identical
+    for CLI and programmatic use.
+    """
+
+    command: str
+    mesh_level: int = _option("level", 4, int, "icosphere level")
+    metric_seed: int = _option("metric-seed", 0, int, "background field seed")
+    metric_amplitude: float = _option(
+        "metric-amp", 0.0, float, "background field amplitude (0: round)"
+    )
+    epsilons: tuple = _option("eps", (0.5,), _parse_eps, "comma-separated list")
+    seed: int = _option("seed", 0, int, "top-level seed for all sampling")
+    tolerance: float | None = _option("tol", None, float, "solver tolerance")
+    max_iterations: int | None = _option(
+        "max-iter", None, int, "solver iteration cap"
+    )
+    output_dir: str | None = _option(
+        "out", None, str, "output directory (default runs/<command>)"
+    )
+    mesh_file: str | None = _option("mesh-file", None, str, "OFF mesh to load")
+    bands: int = _option("bands", 8, int, "band limit of random fields")
+    amplitude: float | None = _option("amp", None, float, "initial field size")
+    pole: int = _option("pole", 0, int, "Green function pole vertex")
+    bubble_radius: float = _option("R", 1.0, float, "bubble radius")
+    t_end: float = _option("t-end", 10.0, float, "flow end time")
+    dt0: float = _option("dt0", 0.01, float, "initial flow step")
+    a: float = _option("a", float(np.pi), float, "disk volume constraint")
+    b: float = _option("b", 0.0, float, "disk boundary value")
+    r: float = _option("r", 1.0, float, "disk radius")
+    grid_n: int | None = _option("grid-n", None, int, "radial grid size")
+    samples: int = _option("samples", 200, int, "samples per inequality suite")
+    trials: int = _option("trials", 5, int, "global ascent trials")
+    p: float = _option("p", 2.0, float, "norm exponent")
+    delta: float = _option("delta", float(2.0 * np.pi), float, "Brezis-Merle delta")
+    plots: bool = _option("plots", True, _parse_bool, "skip SVG figures")
+
+    def __post_init__(self):
+        if self.command not in _COMMANDS:
+            raise ParameterError(f"unknown command '{self.command}'")
+        if not self.epsilons:
+            raise ParameterError("at least one epsilon value is required")
+        for eps in self.epsilons:
+            _check_epsilon(eps)
+        if self.output_dir is None:
+            object.__setattr__(self, "output_dir", str(Path("runs") / self.command))
+
+
+# Config key -> RunSpec field; config keys are the flags without dashes.
+_OPTIONS = {f.metadata["key"]: f for f in fields(RunSpec) if f.metadata}
 
 
 def _read_config(path) -> dict:
@@ -193,11 +174,14 @@ def _read_config(path) -> dict:
             raise DataError(f"config line {lineno} is not 'key = value': {raw!r}")
         key, _, val = line.partition("=")
         key, val = key.strip(), val.strip()
-        if key not in _ALL_KEYS:
+        if key not in _OPTIONS:
             raise ParameterError(f"unknown config key '{key}' (line {lineno})")
         if key in values:
             raise ParameterError(f"duplicate config key '{key}' (line {lineno})")
-        values[key] = _convert(key, val)
+        try:
+            values[key] = _OPTIONS[key].metadata["convert"](val)
+        except ValueError as exc:
+            raise ParameterError(f"bad value for config key '{key}': {exc}") from exc
     return values
 
 
@@ -209,81 +193,32 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("command", choices=_COMMANDS)
     parser.add_argument("--config", default=None, help="key = value config file")
-    parser.add_argument("--level", type=int, default=None, help="icosphere level")
-    parser.add_argument("--eps", type=str, default=None, help="comma-separated list")
-    parser.add_argument("--metric-seed", type=int, default=None, dest="metric_seed")
-    parser.add_argument("--metric-amp", type=float, default=None, dest="metric_amp")
-    parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--tol", type=float, default=None)
-    parser.add_argument("--max-iter", type=int, default=None, dest="max_iter")
-    parser.add_argument("--out", type=str, default=None)
-    parser.add_argument("--mesh-file", type=str, default=None, dest="mesh_file")
-    parser.add_argument("--bands", type=int, default=None)
-    parser.add_argument("--amp", type=float, default=None, help="initial field size")
-    parser.add_argument("--pole", type=int, default=None)
-    parser.add_argument("--R", type=float, default=None, help="bubble radius")
-    parser.add_argument("--t-end", type=float, default=None, dest="t_end")
-    parser.add_argument("--dt0", type=float, default=None)
-    parser.add_argument("--a", type=float, default=None, help="disk volume constraint")
-    parser.add_argument("--b", type=float, default=None, help="disk boundary value")
-    parser.add_argument("--r", type=float, default=None, help="disk radius")
-    parser.add_argument("--grid-n", type=int, default=None, dest="grid_n")
-    parser.add_argument("--samples", type=int, default=None)
-    parser.add_argument("--trials", type=int, default=None)
-    parser.add_argument("--p", type=float, default=None, help="norm exponent")
-    parser.add_argument("--delta", type=float, default=None)
-    parser.add_argument("--no-plots", action="store_true", dest="no_plots")
+    for key, f in _OPTIONS.items():
+        if f.default is True:
+            parser.add_argument(
+                f"--no-{key}", action="store_const", const=False, dest=f.name,
+                help=f.metadata["help"],
+            )
+        else:
+            parser.add_argument(
+                f"--{key}", type=f.metadata["convert"], dest=f.name,
+                metavar=key.upper().replace("-", "_"), help=f.metadata["help"],
+            )
     return parser
 
 
 def _resolve(ns: argparse.Namespace, config_file) -> RunSpec:
-    cfg = {}
+    """Each option from its flag, else the config file, else its default."""
     path = ns.config if ns.config is not None else config_file
-    if path is not None:
-        cfg = _read_config(path)
-
-    def pick(key, flag_value, default):
-        if flag_value is not None:
-            return flag_value
-        if key in cfg:
-            return cfg[key]
-        return default
-
-    eps = ns.eps
-    if eps is not None:
-        eps = _parse_eps(eps)
-    plots = False if ns.no_plots else None
-    out = pick("out", ns.out, None)
-    command = ns.command
-    if out is None:
-        out = str(Path("runs") / command)
-    return RunSpec(
-        command=command,
-        mesh_level=pick("level", ns.level, 4),
-        metric_seed=pick("metric-seed", ns.metric_seed, 0),
-        metric_amplitude=pick("metric-amp", ns.metric_amp, 0.0),
-        epsilons=pick("eps", eps, (0.5,)),
-        seed=pick("seed", ns.seed, 0),
-        tolerance=pick("tol", ns.tol, None),
-        max_iterations=pick("max-iter", ns.max_iter, None),
-        output_dir=out,
-        mesh_file=pick("mesh-file", ns.mesh_file, None),
-        bands=pick("bands", ns.bands, 8),
-        amplitude=pick("amp", ns.amp, None),
-        pole=pick("pole", ns.pole, 0),
-        bubble_radius=pick("R", ns.R, 1.0),
-        t_end=pick("t-end", ns.t_end, 10.0),
-        dt0=pick("dt0", ns.dt0, 0.01),
-        a=pick("a", ns.a, float(np.pi)),
-        b=pick("b", ns.b, 0.0),
-        r=pick("r", ns.r, 1.0),
-        grid_n=pick("grid-n", ns.grid_n, None),
-        samples=pick("samples", ns.samples, 200),
-        trials=pick("trials", ns.trials, 5),
-        p=pick("p", ns.p, 2.0),
-        delta=pick("delta", ns.delta, float(2.0 * np.pi)),
-        plots=pick("plots", plots, True),
-    )
+    cfg = _read_config(path) if path is not None else {}
+    values = {}
+    for key, f in _OPTIONS.items():
+        value = getattr(ns, f.name)
+        if value is None:
+            value = cfg.get(key)
+        if value is not None:
+            values[f.name] = value
+    return RunSpec(command=ns.command, **values)
 
 
 def _build_mesh(spec: RunSpec):
@@ -303,8 +238,13 @@ def _operators(spec: RunSpec):
     return assemble_operators(_build_mesh(spec))
 
 
+def _or_default(value, default):
+    """A command's own default, used only where the option was left unset."""
+    return default if value is None else value
+
+
 def _initial_field(spec: RunSpec, ops, default_amplitude: float):
-    amp = spec.amplitude if spec.amplitude is not None else default_amplitude
+    amp = _or_default(spec.amplitude, default_amplitude)
     if amp == 0.0:
         return np.zeros(ops.mass.shape)
     return random_band_field(ops.mesh, spec.seed, spec.bands, amp)
@@ -315,14 +255,24 @@ def _g17(x) -> str:
 
 
 def _write_json(path: Path, obj) -> None:
-    path.write_text(
-        json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="ascii"
-    )
+    try:
+        text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise NumericError(f"non-finite value in {path.name}: {exc}") from exc
+    path.write_text(text + "\n", encoding="ascii")
+
+
+# How str() and _g17 spell the values no artifact may contain.
+_NON_FINITE = {"nan", "inf", "-inf"}
 
 
 def _write_csv(path: Path, header: str, rows) -> None:
     lines = [header]
-    lines.extend(",".join(str(cell) for cell in row) for row in rows)
+    for row in rows:
+        cells = [str(cell) for cell in row]
+        if _NON_FINITE.intersection(cells):
+            raise NumericError(f"non-finite value in {path.name}: {','.join(cells)}")
+        lines.append(",".join(cells))
     path.write_text("\n".join(lines) + "\n", encoding="ascii")
 
 
@@ -354,12 +304,12 @@ def _result_json(ops, result) -> dict:
 
 
 def _cmd_minimize(spec: RunSpec, outdir: Path):
-    ops = _operators(spec)
     config = SolverConfig(
         epsilon=spec.epsilons[0],
-        max_iterations=spec.max_iterations or 2000,
-        gradient_tolerance=spec.tolerance or 1e-8,
+        max_iterations=_or_default(spec.max_iterations, 2000),
+        gradient_tolerance=_or_default(spec.tolerance, 1e-8),
     )
+    ops = _operators(spec)
     initial = _initial_field(spec, ops, default_amplitude=0.0)
     result = minimize_perturbed(ops, config, initial)
     artifacts = ["u_min.csv", "v_field.csv", "trace.csv", "result.json"]
@@ -394,8 +344,8 @@ def _cmd_sweep(spec: RunSpec, outdir: Path):
     for eps in spec.epsilons:
         config = SolverConfig(
             epsilon=eps,
-            max_iterations=spec.max_iterations or 2000,
-            gradient_tolerance=spec.tolerance or 1e-8,
+            max_iterations=_or_default(spec.max_iterations, 2000),
+            gradient_tolerance=_or_default(spec.tolerance, 1e-8),
         )
         result = minimize_perturbed(ops, config, warm)
         warm = result.u_min  # continuation between epsilon stages
@@ -444,8 +394,8 @@ def _cmd_mean_field(spec: RunSpec, outdir: Path):
         ops,
         spec.epsilons[0],
         initial=initial,
-        tolerance=spec.tolerance or 1e-10,
-        max_iterations=spec.max_iterations or 100,
+        tolerance=_or_default(spec.tolerance, 1e-10),
+        max_iterations=_or_default(spec.max_iterations, 100),
     )
     artifacts = ["v_field.csv", "trace.csv", "result.json"]
     write_field_csv(outdir / "v_field.csv", result.v_field)
@@ -511,7 +461,7 @@ def _cmd_green(spec: RunSpec, outdir: Path):
 
 def _cmd_bubble(spec: RunSpec, outdir: Path):
     radius = spec.bubble_radius
-    report = bubble_checks(radius, quadrature_n=spec.grid_n or 2001)
+    report = bubble_checks(radius, quadrature_n=_or_default(spec.grid_n, 2001))
     payload = report.as_dict()
     payload["dirichlet_closed_form"] = bubble_dirichlet_closed_form(radius)
     payload["mass_closed_form"] = bubble_mass_closed_form(radius)
@@ -607,14 +557,15 @@ def _cmd_inequalities(spec: RunSpec, outdir: Path):
     artifacts = ["inequalities.json"]
 
     local = check_local_mt(
-        spec.r, spec.samples, spec.seed, grid_n=spec.grid_n or 2048
+        spec.r, spec.samples, spec.seed, grid_n=_or_default(spec.grid_n, 2048)
     )
     reports.append(local)
 
+    grid_n = _or_default(spec.grid_n, 4096)
     gaps = []
     for t in (0.5, 1.0, 2.0, 4.0):
         a = t * np.pi * spec.r * spec.r * np.exp(2.0 * spec.b)
-        gaps.append(disk_floor_gap(a, spec.b, spec.r, grid_n=spec.grid_n or 4096))
+        gaps.append(disk_floor_gap(a, spec.b, spec.r, grid_n=grid_n))
     reports.extend(gaps)
 
     global_mt = check_global_mt(ops, spec.epsilons[0], spec.trials, spec.seed)
@@ -631,9 +582,7 @@ def _cmd_inequalities(spec: RunSpec, outdir: Path):
     poincare = poincare_constant(ops, spec.p, seed=spec.seed)
     reports.append(poincare)
 
-    bm = brezis_merle_check(
-        spec.r, spec.delta, spec.samples, spec.seed, grid_n=spec.grid_n or 4096
-    )
+    bm = brezis_merle_check(spec.r, spec.delta, spec.samples, spec.seed, grid_n=grid_n)
     reports.append(bm)
 
     _write_json(outdir / "inequalities.json", [rep.as_dict() for rep in reports])
@@ -653,7 +602,7 @@ def _cmd_inequalities(spec: RunSpec, outdir: Path):
 
 
 def _cmd_disk(spec: RunSpec, outdir: Path):
-    grid_n = spec.grid_n or 4096
+    grid_n = _or_default(spec.grid_n, 4096)
     minimum = disk_min_dirichlet(spec.a, spec.b, spec.r, grid_n=grid_n)
     gap = disk_floor_gap(spec.a, spec.b, spec.r, grid_n=grid_n)
     artifacts = ["disk.json", "profile.csv"]
@@ -785,17 +734,12 @@ def parse_and_run(argv, config_file=None) -> int:
     or resolution failures, 4 numerical breakdown.  Error messages name the
     package module and operation that failed.
     """
-    parser = _build_parser()
     try:
-        ns = parser.parse_args(list(argv))
-    except SystemExit as exc:
-        code = exc.code
-        if code in (0, None):
-            return 0
-        return 2
-    try:
-        spec = _resolve(ns, config_file)
-        return _execute(spec)
+        # Converters run inside parse_args, so a bad --eps list raises here.
+        ns = _build_parser().parse_args(list(argv))
+        return _execute(_resolve(ns, config_file))
+    except SystemExit as exc:  # argparse: --help, or a malformed command line
+        return 0 if exc.code in (0, None) else 2
     except (ParameterError, DataError, MeshQualityError) as exc:
         print(f"{type(exc).__name__} in {_locate(exc)}: {exc}", file=sys.stderr)
         return 2

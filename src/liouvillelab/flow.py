@@ -68,6 +68,21 @@ def _semi_implicit(ops, u, dt):
     return _renormalize(ops, u_new)
 
 
+def _guarded_step(ops, u, energy, dt):
+    """Step from u, halving dt until the energy does not rise above energy.
+
+    Returns (u_new, energy_new, dt_used), or None once dt drops below the
+    floor.  The slack is 1e-12 relative.
+    """
+    while dt >= _DT_FLOOR:
+        u_new = _semi_implicit(ops, u, dt)
+        energy_new = liouville_energy(ops, u_new).total
+        if energy_new <= energy + 1e-12 * (1.0 + abs(energy)):
+            return u_new, energy_new, dt
+        dt *= 0.5
+    return None
+
+
 def flow_step(ops: DiscreteOperators, u: ScalarField, dt: float) -> ScalarField:
     """One accepted step of the normalized flow starting from dt.
 
@@ -81,15 +96,12 @@ def flow_step(ops: DiscreteOperators, u: ScalarField, dt: float) -> ScalarField:
     if u.shape != ops.mass.shape:
         raise DataError("field length does not match the mesh")
     u0 = _renormalize(ops, u)
-    energy = liouville_energy(ops, u0).total
-    while dt >= _DT_FLOOR:
-        u_new = _semi_implicit(ops, u0, dt)
-        if liouville_energy(ops, u_new).total <= energy + 1e-12 * (1.0 + abs(energy)):
-            return u_new
-        dt *= 0.5
-    raise NumericError(
-        f"flow step rejected down to dt floor {_DT_FLOOR:g} (stiff state)"
-    )
+    step = _guarded_step(ops, u0, liouville_energy(ops, u0).total, dt)
+    if step is None:
+        raise NumericError(
+            f"flow step rejected down to dt floor {_DT_FLOOR:g} (stiff state)"
+        )
+    return step[0]
 
 
 def run_flow(
@@ -114,40 +126,26 @@ def run_flow(
     u = _renormalize(ops, u)
     trace = FlowTrace()
 
-    def record(t, u_state, dt_used):
+    def record(t, u_state, energy, dt_used):
         deviation = np.abs(conformal_curvature(ops, u_state) - 2.0).max()
         trace.append(
-            t,
-            liouville_energy(ops, u_state).total,
-            (np.exp(u_state) * ops.mass).sum(),
-            deviation,
-            dt_used,
+            t, energy, (np.exp(u_state) * ops.mass).sum(), deviation, dt_used
         )
+        trace.final_field = u_state
 
-    record(0.0, u, 0.0)
-    trace.final_field = u
+    energy = liouville_energy(ops, u).total
+    record(0.0, u, energy, 0.0)
     t = 0.0
     dt = dt0
-    energy = trace.energies[0]
     while t < t_end - 1e-12:
-        dt_try = min(dt, t_end - t)
-        accepted = False
-        while dt_try >= _DT_FLOOR:
-            u_new = _semi_implicit(ops, u, dt_try)
-            energy_new = liouville_energy(ops, u_new).total
-            if energy_new <= energy + 1e-12 * (1.0 + abs(energy)):
-                accepted = True
-                break
-            dt_try *= 0.5
-        if not accepted:
-            err = NumericError(
-                f"flow became stiff at t = {t:.6g} (dt floor {_DT_FLOOR:g})"
+        step = _guarded_step(ops, u, energy, min(dt, t_end - t))
+        if step is None:
+            raise NumericError(
+                f"flow became stiff at t = {t:.6g} (dt floor {_DT_FLOOR:g})",
+                trace=trace,
             )
-            err.trace = trace
-            raise err
-        t += dt_try
-        u, energy = u_new, energy_new
-        dt = min(dt_try * _DT_GROWTH, _DT_CAP)
-        record(t, u, dt_try)
-        trace.final_field = u
+        u, energy, dt_used = step
+        t += dt_used
+        dt = min(dt_used * _DT_GROWTH, _DT_CAP)
+        record(t, u, energy, dt_used)
     return trace

@@ -25,6 +25,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.integrate import quad
 
+from .energy import EIGHT_PI
 from .errors import DataError, NumericError, ParameterError, ResolutionError
 from .mesh import (
     FOUR_PI,
@@ -33,8 +34,6 @@ from .mesh import (
     geodesic_distances,
     sample_field,
 )
-
-EIGHT_PI = 8.0 * np.pi
 
 _ANNULUS_INNER = 4.0  # in mean-edge-length units
 _ANNULUS_OUTER = 8.0

@@ -724,8 +724,10 @@ def read_off_mesh(path) -> TriangulatedSphere:
 
 
 def write_field_csv(path, values: np.ndarray) -> None:
-    """Write a vertex field as 'vertex,value' CSV rows."""
+    """Write a vertex field as 'vertex,value' CSV rows; the values must be finite."""
     values = np.asarray(values, dtype=np.float64)
+    if not np.isfinite(values).all():
+        raise NumericError(f"non-finite value in field file {path}")
     with open(path, "w", newline="", encoding="ascii") as fh:
         writer = csv.writer(fh)
         writer.writerow(["vertex", "value"])

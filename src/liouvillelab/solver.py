@@ -11,6 +11,7 @@ import scipy.sparse.linalg as spla
 
 from .energy import (
     EIGHT_PI,
+    _check_epsilon,
     log_volume,
     perturbed_functional,
     perturbed_gradient,
@@ -19,6 +20,8 @@ from .errors import ConvergenceError, DataError, NumericError, ParameterError
 from .mesh import FOUR_PI, DiscreteOperators, ScalarField, integrate
 
 _STEP_FLOOR = 2.0**-30
+_LINE_SEARCH_SHRINK = 0.5
+_SUFFICIENT_DECREASE = 1e-4  # Armijo constant
 
 
 @dataclass(frozen=True)
@@ -35,21 +38,14 @@ class SolverConfig:
     max_iterations: int = 4000
     gradient_tolerance: float = 1e-8
     descent_iterations: int = 1000
-    line_search_shrink: float = 0.5
-    sufficient_decrease: float = 1e-4
     newton_polish: bool = True
 
     def __post_init__(self):
-        if not np.isfinite(self.epsilon) or not 0.0 < self.epsilon < EIGHT_PI:
-            raise ParameterError("epsilon must lie in (0, 8*pi)")
+        _check_epsilon(self.epsilon)
         if self.max_iterations < 1:
             raise ParameterError("max_iterations must be >= 1")
-        if self.gradient_tolerance <= 0:
+        if not self.gradient_tolerance > 0:  # also rejects NaN
             raise ParameterError("gradient_tolerance must be positive")
-        if not 0.0 < self.line_search_shrink < 1.0:
-            raise ParameterError("line_search_shrink must lie in (0, 1)")
-        if not 0.0 < self.sufficient_decrease < 0.5:
-            raise ParameterError("sufficient_decrease must lie in (0, 0.5)")
         if self.descent_iterations < 1:
             raise ParameterError("descent_iterations must be >= 1")
 
@@ -198,8 +194,10 @@ def solve_mean_field(
     on a round background is already the exact solution.  The returned
     v_field satisfies the unit volume normalization to solver precision.
     """
-    if not np.isfinite(epsilon) or not 0.0 < epsilon < EIGHT_PI:
-        raise ParameterError("epsilon must lie in (0, 8*pi)")
+    # Validates epsilon, tolerance and max_iterations before any work.
+    config = SolverConfig(
+        epsilon=epsilon, max_iterations=max_iterations, gradient_tolerance=tolerance
+    )
     if initial is None:
         v0 = np.full(ops.mass.shape, -np.log(ops.total_area))
     else:
@@ -213,7 +211,6 @@ def solve_mean_field(
         ops, epsilon, v0, tolerance * EIGHT_PI, max_iterations
     )
     v = v - log_volume(ops, v)  # re-center; drift is at roundoff level
-    config = SolverConfig(epsilon=epsilon, gradient_tolerance=tolerance)
     return _package_result(ops, config, v, trace_rows=None, newton_trace=trace)
 
 
@@ -293,7 +290,7 @@ def minimize_perturbed(
             direction = precond.solve(grad * ops.mass)
             slope = float((direction * grad) @ ops.mass)
             step = min(step * 2.0, 16.0)
-            decrease = config.sufficient_decrease * slope
+            decrease = _SUFFICIENT_DECREASE * slope
             accepted = False
             with np.errstate(over="ignore", invalid="ignore"):
                 while step >= _STEP_FLOOR:
@@ -304,7 +301,7 @@ def minimize_perturbed(
                     if energy_try <= energy - step * decrease:
                         accepted = True
                         break
-                    step *= config.line_search_shrink
+                    step *= _LINE_SEARCH_SHRINK
             if not accepted:
                 stalled = True
                 break  # energy is at the roundoff floor; let the polish decide

@@ -1,5 +1,6 @@
 """Harness behavior: outputs, config resolution, exit codes, rerun bytes."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -287,3 +288,62 @@ class TestExitCodes:
     def test_help_exits_zero(self, capsys):
         assert run(["--help"]) == 0
         capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["minimize", "--level", 1, "--max-iter", 0],
+            ["minimize", "--level", 1, "--tol", 0],
+            ["mean-field", "--level", 1, "--max-iter", 0],
+            ["disk", "--grid-n", 0],
+        ],
+    )
+    def test_explicit_zero_is_not_replaced_by_default(self, tmp_path, capsys, args):
+        assert run(args + ["--out", tmp_path]) == 2
+        assert "ParameterError" in capsys.readouterr().err
+        assert not (tmp_path / "run_manifest.json").exists()
+
+    def test_non_finite_json_is_numeric_failure(self, tmp_path, capsys):
+        assert run(["bubble", "--R", 1e200, "--out", tmp_path]) == 4
+        err = capsys.readouterr().err
+        assert "NumericError" in err
+        assert "bubble.json" in err
+        assert not (tmp_path / "bubble.json").exists()
+
+    def test_non_finite_csv_is_numeric_failure(self, tmp_path):
+        with pytest.raises(NumericError, match="profile.csv"):
+            cli._write_csv(tmp_path / "profile.csv", "r,phi", [("0", "-inf")])
+        assert not (tmp_path / "profile.csv").exists()
+
+
+class TestOptionTable:
+    KEYS = {
+        "level", "metric-seed", "metric-amp", "eps", "seed", "tol", "max-iter",
+        "out", "mesh-file", "bands", "amp", "pole", "R", "t-end", "dt0", "a",
+        "b", "r", "grid-n", "samples", "trials", "p", "delta", "plots",
+    }
+
+    def test_flags_and_config_keys_name_the_same_options(self):
+        # Every flag is a config key without its dashes; --no-plots is plots.
+        dest_by_key = {
+            a.option_strings[0].removeprefix("--no-").removeprefix("--"): a.dest
+            for a in cli._build_parser()._actions
+            if a.option_strings and a.dest not in ("help", "config")
+        }
+        assert set(dest_by_key) == set(cli._OPTIONS) == self.KEYS
+        assert all(cli._OPTIONS[key].name == d for key, d in dest_by_key.items())
+        spec_fields = {f.name for f in dataclasses.fields(cli.RunSpec)}
+        assert set(dest_by_key.values()) <= spec_fields
+
+    def test_eps_list_parsed_on_flag_and_config_paths(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("eps = 0.5, 0.25\n")
+        ns = cli._build_parser().parse_args(["sweep-eps", "--config", str(cfg)])
+        assert cli._resolve(ns, None).epsilons == (0.5, 0.25)
+        ns = cli._build_parser().parse_args(["sweep-eps", "--eps", "0.5,0.25"])
+        assert cli._resolve(ns, None).epsilons == (0.5, 0.25)
+
+    def test_unset_options_take_run_spec_defaults(self):
+        ns = cli._build_parser().parse_args(["flow"])
+        assert cli._resolve(ns, None) == cli.RunSpec(command="flow")
+        assert cli.RunSpec(command="flow").output_dir == "runs/flow"

@@ -232,6 +232,11 @@ def test_field_csv_roundtrip_and_validation(tmp_path, rng):
     with pytest.raises(DataError):
         read_field_csv(nan)
 
+    values[3] = np.inf
+    with pytest.raises(NumericError):
+        write_field_csv(tmp_path / "inf.csv", values)
+    assert not (tmp_path / "inf.csv").exists()
+
 
 def test_mass_rescale_is_logged_and_small(ops3):
     # The flat-area deficit shrinks like h^2 but is always corrected.

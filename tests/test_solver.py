@@ -69,16 +69,22 @@ def test_project_constraint_rejects_wrong_length(ops3):
         {"epsilon": 0.5, "max_iterations": 0},
         {"epsilon": 0.5, "gradient_tolerance": 0.0},
         {"epsilon": 0.5, "gradient_tolerance": -1e-8},
-        {"epsilon": 0.5, "line_search_shrink": 1.0},
-        {"epsilon": 0.5, "line_search_shrink": 0.0},
-        {"epsilon": 0.5, "sufficient_decrease": 0.5},
-        {"epsilon": 0.5, "sufficient_decrease": 0.0},
+        {"epsilon": EIGHT_PI + 1.0},
+        {"epsilon": 0.5, "max_iterations": -1},
+        {"epsilon": 0.5, "gradient_tolerance": float("-inf")},
+        {"epsilon": 0.5, "descent_iterations": -1},
         {"epsilon": 0.5, "descent_iterations": 0},
     ],
 )
 def test_config_rejects_bad_parameters(kwargs):
     with pytest.raises(ParameterError):
         SolverConfig(**kwargs)
+
+
+def test_config_rejects_nan_tolerance():
+    # A NaN tolerance never compares true, so the minimizer would never stop.
+    with pytest.raises(ParameterError):
+        SolverConfig(epsilon=0.5, gradient_tolerance=float("nan"))
 
 
 # ----------------------------------------------------------------- minimizer
