@@ -687,13 +687,19 @@ _HANDLERS = {
 
 
 def _locate(exc: BaseException) -> str:
-    """Innermost package frame of the failure, preferring public names."""
+    """Innermost package frame of the failure, preferring public names.
+
+    Frames are matched by their module's import name (``__spec__``), which
+    stays ``liouvillelab.cli`` when the CLI runs as ``python -m`` and its
+    ``__name__`` is ``__main__``.
+    """
     best = "cli.parse_and_run"
     best_public = None
     tb = exc.__traceback__
     while tb is not None:
         frame = tb.tb_frame
-        module = frame.f_globals.get("__name__", "")
+        spec = frame.f_globals.get("__spec__")
+        module = spec.name if spec else frame.f_globals.get("__name__", "")
         if module.startswith("liouvillelab"):
             name = f"{module.rsplit('.', 1)[-1]}.{frame.f_code.co_name}"
             best = name

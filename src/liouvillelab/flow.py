@@ -111,8 +111,9 @@ def run_flow(
 
     Accepted steps grow dt by 1.5x up to 0.5; rejected attempts halve it.
     The trace records every accepted state starting with the initial one
-    (normalized to volume 4*pi).  On a stiffness failure the partial trace
-    is attached to the raised NumericError as ``.trace``.
+    (normalized to volume 4*pi).  Any NumericError raised while stepping
+    (stiffness, a failed or non-finite solve) carries the partial trace as
+    ``.trace``.
     """
     if not np.isfinite(t_end) or t_end <= 0:
         raise ParameterError("t_end must be positive")
@@ -137,15 +138,18 @@ def run_flow(
     record(0.0, u, energy, 0.0)
     t = 0.0
     dt = dt0
-    while t < t_end - 1e-12:
-        step = _guarded_step(ops, u, energy, min(dt, t_end - t))
-        if step is None:
-            raise NumericError(
-                f"flow became stiff at t = {t:.6g} (dt floor {_DT_FLOOR:g})",
-                trace=trace,
-            )
-        u, energy, dt_used = step
-        t += dt_used
-        dt = min(dt_used * _DT_GROWTH, _DT_CAP)
-        record(t, u, energy, dt_used)
+    try:
+        while t < t_end - 1e-12:
+            step = _guarded_step(ops, u, energy, min(dt, t_end - t))
+            if step is None:
+                raise NumericError(
+                    f"flow became stiff at t = {t:.6g} (dt floor {_DT_FLOOR:g})"
+                )
+            u, energy, dt_used = step
+            t += dt_used
+            dt = min(dt_used * _DT_GROWTH, _DT_CAP)
+            record(t, u, energy, dt_used)
+    except NumericError as exc:
+        exc.trace = trace
+        raise
     return trace

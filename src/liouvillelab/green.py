@@ -46,8 +46,8 @@ class GreenResult:
 
     fit_window is the (inner, outer) annulus radii actually used;
     distance_exact records whether geodesic distances were exact arcs
-    (round background) or the graph approximation (bumpy background, an
-    overestimate by an O(h) zig-zag factor, reported as a caveat).
+    (round background) or came from fast marching over the faces (bumpy
+    background, first-order accurate in the edge length).
     """
 
     field: ScalarField
@@ -186,8 +186,11 @@ def bubble_checks(R: float, quadrature_n: int = 2001) -> BubbleReport:
     The PDE residual substitutes analytic first and second radial
     derivatives into -Delta phi0 - 8 pi exp(phi0) on a radial grid of
     quadrature_n points; the mass and Dirichlet integrals use adaptive
-    quadrature and are cross-checked against their closed forms by the
-    caller (this function reports the quadrature values).
+    quadrature and are reported as computed.  Each is compared with its
+    closed form and raises NumericError if it misses by more than 1e-9
+    relative to max(1, |closed form|): for large R the adaptive rule can
+    step over the bubble's peak near the origin while its own error
+    estimate stays small.
     """
     if not np.isfinite(R) or R <= 0:
         raise ParameterError("R must be positive")
@@ -215,6 +218,15 @@ def bubble_checks(R: float, quadrature_n: int = 2001) -> BubbleReport:
         raise NumericError(
             f"bubble quadrature did not converge (errors {mass_err:.1e}, {dir_err:.1e})"
         )
+    for name, value, exact in (
+        ("mass", mass_val, bubble_mass_closed_form(R)),
+        ("Dirichlet", dir_val, bubble_dirichlet_closed_form(R)),
+    ):
+        if abs(value - exact) > 1e-9 * max(1.0, abs(exact)):
+            raise NumericError(
+                f"bubble {name} quadrature {value:.12g} misses its closed form "
+                f"{exact:.12g} at R = {R:g}"
+            )
     return BubbleReport(
         radius=float(R),
         dirichlet_integral=float(dir_val),

@@ -589,6 +589,15 @@ def _fmm_face_update(t_a, t_b, len_bc, len_ac, len_ab):
     return min(edge, t)
 
 
+def _vertex_faces(mesh: TriangulatedSphere) -> list[list[int]]:
+    """Indices of the faces incident to each vertex, in ascending order."""
+    corners = mesh.faces.ravel()
+    # A stable sort keeps corners of one vertex in flat order, hence face order.
+    face_of_corner = (np.argsort(corners, kind="stable") // 3).tolist()
+    ends = np.cumsum(np.bincount(corners, minlength=mesh.num_vertices)).tolist()
+    return [face_of_corner[lo:hi] for lo, hi in zip([0] + ends, ends)]
+
+
 def _fast_march(mesh: TriangulatedSphere, phi: np.ndarray, source: int) -> np.ndarray:
     v, faces = mesh.vertices, mesh.faces
     scale = np.exp(phi / 2.0)
@@ -597,11 +606,7 @@ def _fast_march(mesh: TriangulatedSphere, phi: np.ndarray, source: int) -> np.nd
         arc = np.arccos(np.clip(float(v[i] @ v[j]), -1.0, 1.0))
         return arc * 0.5 * (scale[i] + scale[j])
 
-    vert_faces: list[list[int]] = [[] for _ in range(mesh.num_vertices)]
-    for fi, (a, b, c) in enumerate(faces):
-        vert_faces[a].append(fi)
-        vert_faces[b].append(fi)
-        vert_faces[c].append(fi)
+    vert_faces = _vertex_faces(mesh)
     dist = np.full(mesh.num_vertices, np.inf)
     dist[source] = 0.0
     done = np.zeros(mesh.num_vertices, dtype=bool)
@@ -642,11 +647,7 @@ def sample_field(
     if points.shape[1] != 3:
         raise DataError("points must have shape (N, 3)")
     v, f = mesh.vertices, mesh.faces
-    vert_faces: list[list[int]] = [[] for _ in range(mesh.num_vertices)]
-    for fi, (a, b, c) in enumerate(f):
-        vert_faces[a].append(fi)
-        vert_faces[b].append(fi)
-        vert_faces[c].append(fi)
+    vert_faces = _vertex_faces(mesh)
     tree = cKDTree(v)
     _, nearest = tree.query(points, k=4)
     out = np.empty(len(points))

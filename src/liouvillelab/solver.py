@@ -20,25 +20,25 @@ from .errors import ConvergenceError, DataError, NumericError, ParameterError
 from .mesh import FOUR_PI, DiscreteOperators, ScalarField, integrate
 
 _STEP_FLOOR = 2.0**-30
+_DESCENT_CAP = 1000  # H1 descent steps before the Newton polish takes over
 _LINE_SEARCH_SHRINK = 0.5
 _SUFFICIENT_DECREASE = 1e-4  # Armijo constant
 
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Knobs for :func:`minimize_perturbed` and :func:`solve_mean_field`.
+    """Parameters of :func:`minimize_perturbed` and :func:`solve_mean_field`.
 
     gradient_tolerance is the mass-norm stopping threshold, relative to
     max(1, |energy|) for the minimizer and to 8*pi for the mean-field
-    residual.  descent_iterations caps the gradient phase before the Newton
-    polish takes over; max_iterations caps everything.
+    residual.  max_iterations caps every step the solver takes: descent and
+    Newton steps together for the minimizer, Newton steps for the mean-field
+    solve.
     """
 
     epsilon: float
     max_iterations: int = 4000
     gradient_tolerance: float = 1e-8
-    descent_iterations: int = 1000
-    newton_polish: bool = True
 
     def __post_init__(self):
         _check_epsilon(self.epsilon)
@@ -46,8 +46,6 @@ class SolverConfig:
             raise ParameterError("max_iterations must be >= 1")
         if not self.gradient_tolerance > 0:  # also rejects NaN
             raise ParameterError("gradient_tolerance must be positive")
-        if self.descent_iterations < 1:
-            raise ParameterError("descent_iterations must be >= 1")
 
 
 @dataclass
@@ -244,17 +242,20 @@ def minimize_perturbed(
 ) -> MinimizerResult:
     """Minimize the perturbed functional over the zero-pairing hyperplane.
 
-    Projected gradient descent with Armijo backtracking drives the iterate
-    into a basin; the direction is the gradient in the H1 inner product
-    (preconditioned by stiffness plus mass), which keeps the near-flat
-    conformal valley of the functional tractable at small epsilon.  An
-    optional Newton polish on the Euler-Lagrange equation finishes to the
-    gradient tolerance; when the polish fails to lock on, descent resumes
-    with a tighter handoff threshold until the iteration budget runs out.
-    The energy column of the iteration trace is nonincreasing up to a 1e-11
-    relative slack (the polish is residual-monotone, not energy-monotone).
-    Raises ConvergenceError with the best iterate attached if the tolerance
-    is not reached.
+    One path: projected gradient descent with Armijo backtracking drives the
+    iterate into a basin, then one Newton polish on the Euler-Lagrange
+    equation finishes to the gradient tolerance.  The descent direction is
+    the gradient in the H1 inner product (preconditioned by stiffness plus
+    mass), which keeps the near-flat conformal valley of the functional
+    tractable at small epsilon.  Descent hands off to the polish once the
+    gradient norm drops below max(tolerance, min(1e-2, 1e-3 * initial
+    norm)), after min(1000, max_iterations) steps, or when the line search
+    reaches the roundoff floor; the polish gets the rest of max_iterations,
+    at most 100 steps.  The energy column of the iteration trace is
+    nonincreasing up to a 1e-11 relative slack (the polish is
+    residual-monotone, not energy-monotone).  Raises ConvergenceError with
+    the best iterate attached if the final gradient norm misses the
+    tolerance.
     """
     if initial is None:
         initial = np.zeros(ops.mass.shape)
@@ -269,74 +270,51 @@ def minimize_perturbed(
     energy = perturbed_functional(ops, u, config.epsilon).total
     grad = perturbed_gradient(ops, u, config.epsilon)
     grad_norm = mass_norm(ops, grad)
-    tol_scale = max(1.0, abs(energy))
     rows = [(0, energy, grad_norm)]
     precond = spla.splu((ops.stiffness + sp.diags(ops.mass)).tocsc())
-    floor_handoff = config.gradient_tolerance * tol_scale
-    if config.newton_polish:
-        handoff = max(floor_handoff, min(1e-2, 1e-3 * grad_norm))
-    else:
-        handoff = floor_handoff
+    handoff = max(
+        config.gradient_tolerance * max(1.0, abs(energy)),
+        min(1e-2, 1e-3 * grad_norm),
+    )
     step = 1.0
     iteration = 0
-    v = None
-    newton_trace = None
-    while True:
-        round_budget = min(
-            iteration + config.descent_iterations, config.max_iterations
-        )
-        stalled = False
-        while iteration < round_budget and grad_norm > handoff:
-            direction = precond.solve(grad * ops.mass)
-            slope = float((direction * grad) @ ops.mass)
-            step = min(step * 2.0, 16.0)
-            decrease = _SUFFICIENT_DECREASE * slope
-            accepted = False
-            with np.errstate(over="ignore", invalid="ignore"):
-                while step >= _STEP_FLOOR:
-                    u_try = project_constraint(ops, u - step * direction)
-                    energy_try = perturbed_functional(
-                        ops, u_try, config.epsilon
-                    ).total
-                    if energy_try <= energy - step * decrease:
-                        accepted = True
-                        break
-                    step *= _LINE_SEARCH_SHRINK
-            if not accepted:
-                stalled = True
+    while iteration < min(_DESCENT_CAP, config.max_iterations) and grad_norm > handoff:
+        direction = precond.solve(grad * ops.mass)
+        slope = float((direction * grad) @ ops.mass)
+        step = min(step * 2.0, 16.0)
+        decrease = _SUFFICIENT_DECREASE * slope
+        with np.errstate(over="ignore", invalid="ignore"):
+            while step >= _STEP_FLOOR:
+                u_try = project_constraint(ops, u - step * direction)
+                energy_try = perturbed_functional(ops, u_try, config.epsilon).total
+                if energy_try <= energy - step * decrease:
+                    break
+                step *= _LINE_SEARCH_SHRINK
+            else:
                 break  # energy is at the roundoff floor; let the polish decide
-            u, energy = u_try, energy_try
-            grad = perturbed_gradient(ops, u, config.epsilon)
-            grad_norm = mass_norm(ops, grad)
-            iteration += 1
-            rows.append((iteration, energy, grad_norm))
+        u, energy = u_try, energy_try
+        grad = perturbed_gradient(ops, u, config.epsilon)
+        grad_norm = mass_norm(ops, grad)
+        iteration += 1
+        rows.append((iteration, energy, grad_norm))
 
-        if not config.newton_polish:
-            break
-        v0 = u - log_volume(ops, u)
-        remaining = max(config.max_iterations - iteration, 10)
-        try:
-            # 0.5 * tolerance is below every possible final threshold; a
-            # roundoff plateau under the plain tolerance is still fine
-            # because the final check below has the last word.
-            v, newton_trace = _newton_mean_field(
-                ops, config.epsilon, v0, 0.5 * config.gradient_tolerance,
-                min(remaining, 100),
-                floor_tolerance=config.gradient_tolerance,
-            )
-            break
-        except (ConvergenceError, NumericError) as exc:
-            v, newton_trace = getattr(exc, "best", None), getattr(exc, "trace", None)
-        if stalled or iteration >= config.max_iterations or handoff <= floor_handoff:
-            break
-        handoff = max(floor_handoff, 1e-2 * handoff)
-
-    if config.newton_polish and v is not None:
+    v = u - log_volume(ops, u)
+    try:
+        # 0.5 * tolerance is below every possible final threshold; a
+        # roundoff plateau under the plain tolerance is still fine because
+        # the final check below has the last word.
+        v, newton_trace = _newton_mean_field(
+            ops, config.epsilon, v, 0.5 * config.gradient_tolerance,
+            min(config.max_iterations - iteration, 100),
+            floor_tolerance=config.gradient_tolerance,
+        )
+    except ConvergenceError as exc:
+        v, newton_trace = exc.best, exc.trace
+    except NumericError:
+        newton_trace = None  # the polish broke down; keep the descent iterate
+    if newton_trace is not None:
         v = v - log_volume(ops, v)
-        result = _package_result(ops, config, v, rows, newton_trace)
-    else:
-        v = u - log_volume(ops, u)
-        result = _package_result(ops, config, v, rows, None)
+    result = _package_result(ops, config, v, rows, newton_trace)
 
     tolerance = config.gradient_tolerance * max(1.0, abs(result.energy))
     final_grad = perturbed_gradient(ops, result.u_min, config.epsilon)
@@ -449,7 +427,7 @@ def disk_min_dirichlet(
             w, mu = w_try, mu_try
         else:
             raise ConvergenceError(
-                f"disk Newton stalled at stage {stage}/{n_stages} "
+                f"disk Newton did not converge at stage {stage}/{n_stages} "
                 f"(residual {res_norm:.3e})",
                 best=w,
             )

@@ -2,6 +2,10 @@
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -249,6 +253,23 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "ParameterError" in err
 
+    def test_failure_location_independent_of_launch(self, tmp_path, capsys):
+        # Under ``python -m`` the cli module is ``__main__``; the reported
+        # frame must be the same as through parse_and_run.
+        args = ["minimize", "--eps", "30", "--out", str(tmp_path)]
+        assert run(args) == 2
+        in_process = capsys.readouterr().err
+        src = Path(cli.__file__).resolve().parents[1]
+        paths = filter(None, [str(src), os.environ.get("PYTHONPATH")])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
+        proc = subprocess.run(
+            [sys.executable, "-m", "liouvillelab.cli", *args],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr == in_process
+        assert "in cli.parse_and_run" in in_process
+
     def test_bad_bubble_radius(self, tmp_path):
         assert run(["bubble", "--R", -1, "--out", tmp_path]) == 2
 
@@ -308,6 +329,11 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "NumericError" in err
         assert "bubble.json" in err
+        assert not (tmp_path / "bubble.json").exists()
+
+    def test_missed_bubble_peak_is_numeric_failure(self, tmp_path, capsys):
+        assert run(["bubble", "--R", 1e6, "--out", tmp_path]) == 4
+        assert "closed form" in capsys.readouterr().err
         assert not (tmp_path / "bubble.json").exists()
 
     def test_non_finite_csv_is_numeric_failure(self, tmp_path):

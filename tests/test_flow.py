@@ -109,6 +109,18 @@ class TestFailurePaths:
         assert len(trace.times) >= 1
         assert trace.times[0] == 0.0
 
+    def test_failed_solve_attaches_partial_trace(self, ops2):
+        # a weakly anti-diffusive operator blows the first step up to
+        # non-finite values inside the solve, before the energy guard
+        bad = dataclasses.replace(ops2, stiffness=-1e-5 * ops2.stiffness)
+        u0 = L.random_band_field(ops2.mesh, 0, 8, 0.5)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericError, match="non-finite") as info:
+                run_flow(bad, u0, 10.0)
+        trace = info.value.trace
+        assert isinstance(trace, FlowTrace)
+        assert trace.times[0] == 0.0
+
     @pytest.mark.parametrize("t_end", [0.0, -1.0, np.nan])
     def test_bad_t_end(self, ops3, t_end):
         with pytest.raises(ParameterError):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import liouvillelab as L
-from liouvillelab.errors import DataError, ParameterError, ResolutionError
+from liouvillelab.errors import DataError, NumericError, ParameterError, ResolutionError
 from liouvillelab.mesh import geodesic_distances
 
 A_ROUND = 4.0 * np.log(2.0) - 2.0
@@ -156,6 +156,12 @@ class TestBubbleChecks:
             assert report.mass_integral == pytest.approx(
                 L.bubble_mass_closed_form(R), abs=1e-10
             )
+
+    def test_missed_peak_is_numeric_failure(self):
+        # At R = 1e6 the adaptive rule never samples the peak near the
+        # origin and reports a mass near 0 against a closed form near 1.
+        with pytest.raises(NumericError, match="mass quadrature"):
+            L.bubble_checks(1e6)
 
     def test_large_radius_mass_saturates(self):
         report = L.bubble_checks(100.0)

@@ -22,6 +22,7 @@ from liouvillelab import (
     write_field_csv,
     write_off_mesh,
 )
+from liouvillelab.mesh import _vertex_faces
 
 
 def test_subdivision_counts():
@@ -189,6 +190,16 @@ def test_sample_field_at_vertices_and_constants(ops3, rng):
     points /= np.linalg.norm(points, axis=1)[:, None]
     const = sample_field(mesh, np.full(mesh.num_vertices, 2.5), points)
     assert np.abs(const - 2.5).max() <= 1e-12
+
+
+def test_vertex_faces_matches_loop_reference():
+    # The loop the vectorized incidence replaced: faces in ascending order.
+    mesh = build_icosphere(2)
+    expected = [[] for _ in range(mesh.num_vertices)]
+    for fi, face in enumerate(mesh.faces):
+        for vertex in face:
+            expected[vertex].append(fi)
+    assert _vertex_faces(mesh) == expected
 
 
 def test_off_roundtrip(tmp_path):

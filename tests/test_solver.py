@@ -72,8 +72,6 @@ def test_project_constraint_rejects_wrong_length(ops3):
         {"epsilon": EIGHT_PI + 1.0},
         {"epsilon": 0.5, "max_iterations": -1},
         {"epsilon": 0.5, "gradient_tolerance": float("-inf")},
-        {"epsilon": 0.5, "descent_iterations": -1},
-        {"epsilon": 0.5, "descent_iterations": 0},
     ],
 )
 def test_config_rejects_bad_parameters(kwargs):
@@ -134,15 +132,25 @@ def test_peak_fields_consistent(bumpy3):
 
 
 def test_minimizer_budget_exhaustion_carries_best(bumpy3):
-    config = SolverConfig(
-        epsilon=0.5, max_iterations=1, descent_iterations=1, newton_polish=False
-    )
+    config = SolverConfig(epsilon=0.5, max_iterations=1)
     with pytest.raises(ConvergenceError) as info:
         minimize_perturbed(bumpy3, config)
     best = info.value.best
     assert isinstance(best, MinimizerResult)
     assert np.isfinite(best.energy)
     assert len(info.value.trace) >= 1
+
+
+@pytest.mark.parametrize("max_iterations", [1, 5, 20])
+def test_max_iterations_caps_descent_and_polish(bumpy3, max_iterations):
+    # Descent and Newton steps share the budget; the trace adds the start row
+    # of each phase.
+    config = SolverConfig(epsilon=0.5, max_iterations=max_iterations)
+    try:
+        rows = minimize_perturbed(bumpy3, config).iterations
+    except ConvergenceError as exc:
+        rows = exc.trace
+    assert len(rows) <= max_iterations + 2
 
 
 def test_minimizer_rejects_bad_initial(ops2):
