@@ -18,12 +18,13 @@ used as mesh-free oracles.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.integrate import quad
+from scipy.integrate import IntegrationWarning, quad
 
 from .energy import EIGHT_PI
 from .errors import DataError, NumericError, ParameterError, ResolutionError
@@ -190,16 +191,28 @@ def bubble_checks(R: float, quadrature_n: int = 2001) -> BubbleReport:
     closed form and raises NumericError if it misses by more than 1e-9
     relative to max(1, |closed form|): for large R the adaptive rule can
     step over the bubble's peak near the origin while its own error
-    estimate stays small.
+    estimate stays small.  A non-finite closed form (pi R^2 overflows),
+    residual or quadrature value also raises NumericError.  Warnings the
+    quadrature emits are recorded rather than printed; a failure message
+    carries their text on its one line.
     """
     if not np.isfinite(R) or R <= 0:
         raise ParameterError("R must be positive")
     if quadrature_n < 16:
         raise ParameterError("quadrature_n must be >= 16")
+    exact_mass = bubble_mass_closed_form(R)
+    exact_dirichlet = bubble_dirichlet_closed_form(R)
+    if not np.isfinite([exact_mass, exact_dirichlet]).all():
+        raise NumericError(
+            f"bubble closed forms are not finite at R = {R:g} "
+            f"(mass {exact_mass}, Dirichlet {exact_dirichlet})"
+        )
     rho = np.linspace(0.0, R, int(quadrature_n))
     denom = 1.0 + np.pi * rho * rho
     d1 = -4.0 * np.pi * rho / denom
-    d2 = -4.0 * np.pi * (1.0 - np.pi * rho * rho) / denom**2
+    # denom**2 saturates to inf past R ~ 1e77, where d2 -> 0 is its limit.
+    with np.errstate(over="ignore"):
+        d2 = -4.0 * np.pi * (1.0 - np.pi * rho * rho) / denom**2
     laplacian = np.empty_like(rho)
     laplacian[0] = 2.0 * d2[0]  # radial limit: phi'/rho -> phi''(0)
     laplacian[1:] = d2[1:] + d1[1:] / rho[1:]
@@ -212,20 +225,33 @@ def bubble_checks(R: float, quadrature_n: int = 2001) -> BubbleReport:
     def dirichlet_density(s):
         return 2.0 * np.pi * s * (4.0 * np.pi * s / (1.0 + np.pi * s * s)) ** 2
 
-    mass_val, mass_err = quad(mass_density, 0.0, R, epsabs=1e-12, epsrel=1e-12)
-    dir_val, dir_err = quad(dirichlet_density, 0.0, R, epsabs=1e-12, epsrel=1e-12)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", IntegrationWarning)
+        mass_val, mass_err = quad(mass_density, 0.0, R, epsabs=1e-12, epsrel=1e-12)
+        dir_val, dir_err = quad(dirichlet_density, 0.0, R, epsabs=1e-12, epsrel=1e-12)
+    # SciPy's messages span several lines; each becomes one clause.
+    texts = dict.fromkeys(" ".join(str(w.message).split()) for w in caught)
+    notes = "".join(f"; quadrature warned: {text}" for text in texts)
+    values = (pde_residual_max, mass_val, mass_err, dir_val, dir_err)
+    if not np.isfinite(values).all():
+        shown = ", ".join(f"{x:.3g}" for x in values)
+        raise NumericError(
+            f"bubble check produced a non-finite value at R = {R:g} (residual, "
+            f"mass, mass error, Dirichlet, Dirichlet error: {shown}){notes}"
+        )
     if mass_err > 1e-9 or dir_err > 1e-7:
         raise NumericError(
-            f"bubble quadrature did not converge (errors {mass_err:.1e}, {dir_err:.1e})"
+            f"bubble quadrature did not converge (errors {mass_err:.1e}, "
+            f"{dir_err:.1e}){notes}"
         )
     for name, value, exact in (
-        ("mass", mass_val, bubble_mass_closed_form(R)),
-        ("Dirichlet", dir_val, bubble_dirichlet_closed_form(R)),
+        ("mass", mass_val, exact_mass),
+        ("Dirichlet", dir_val, exact_dirichlet),
     ):
         if abs(value - exact) > 1e-9 * max(1.0, abs(exact)):
             raise NumericError(
                 f"bubble {name} quadrature {value:.12g} misses its closed form "
-                f"{exact:.12g} at R = {R:g}"
+                f"{exact:.12g} at R = {R:g}{notes}"
             )
     return BubbleReport(
         radius=float(R),

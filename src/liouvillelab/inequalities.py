@@ -347,13 +347,16 @@ def poincare_constant(
     n = ops.mass.shape[0]
     if modes >= n - 2:
         raise ParameterError("modes too large for this mesh")
-    vals, vecs = spla.eigsh(
-        ops.stiffness,
-        k=modes + 1,
-        M=sp.diags(ops.mass),
-        sigma=-0.5,
-        v0=np.ones(n),
-    )
+    try:
+        vals, vecs = spla.eigsh(
+            ops.stiffness,
+            k=modes + 1,
+            M=sp.diags(ops.mass),
+            sigma=-0.5,
+            v0=np.ones(n),
+        )
+    except spla.ArpackError as exc:
+        raise NumericError(f"Poincare eigensolve failed: {exc}") from exc
     order = np.argsort(vals)
     vals, vecs = vals[order][1:], vecs[:, order][:, 1:]
     if vals.min() <= 0:
@@ -365,7 +368,11 @@ def poincare_constant(
         kappa0 = float((ops.curvature @ ops.mass) / np.sqrt(ops.total_area))
         ratio = kappa / kappa0
         numerator = np.eye(modes) + np.outer(ratio, ratio)
-        c_p = float(sla.eigh(numerator, np.diag(vals), eigvals_only=True).max())
+        try:
+            pencil = sla.eigh(numerator, np.diag(vals), eigvals_only=True)
+        except sla.LinAlgError as exc:
+            raise NumericError(f"Poincare reduced eigenproblem failed: {exc}") from exc
+        c_p = float(pencil.max())
         report_samples, worst_seed = 1, seed
     else:
         best = -np.inf

@@ -23,6 +23,7 @@ import csv
 import heapq
 import io
 import logging
+import math
 import weakref
 from dataclasses import dataclass, field, replace
 
@@ -92,16 +93,21 @@ class TriangulatedSphere:
             raise DataError("face indices out of range")
         self._check_topology()
 
+    def _directed_edges(self) -> tuple[np.ndarray, np.ndarray]:
+        # Tails and heads of the 3F directed edges, corner k -> k+1 per face.
+        return self.faces.ravel(), self.faces[:, [1, 2, 0]].ravel()
+
     def _check_topology(self):
         # Closed oriented surface: every directed edge appears exactly once,
-        # every undirected edge exactly twice, Euler characteristic 2.
-        f = self.faces
-        directed = np.concatenate([f[:, [0, 1]], f[:, [1, 2]], f[:, [2, 0]]])
-        keys = directed[:, 0] * len(self.vertices) + directed[:, 1]
-        if len(np.unique(keys)) != len(keys):
+        # every undirected edge exactly twice, Euler characteristic 2.  An
+        # edge (i, j) is the int64 key i*V + j, which sorts like the row.
+        n = len(self.vertices)
+        tails, heads = self._directed_edges()
+        directed = np.sort(tails * n + heads)
+        if (directed[1:] == directed[:-1]).any():
             raise DataError("mesh is not consistently oriented (repeated directed edge)")
-        undirected = np.sort(directed, axis=1)
-        _, counts = np.unique(undirected, axis=0, return_counts=True)
+        undirected = np.minimum(tails, heads) * n + np.maximum(tails, heads)
+        _, counts = np.unique(undirected, return_counts=True)
         if not (counts == 2).all():
             raise DataError("mesh is not closed (edge not shared by exactly 2 faces)")
         n_edges = len(counts)
@@ -123,11 +129,13 @@ class TriangulatedSphere:
 
     def edges(self) -> np.ndarray:
         """Unique undirected edges as a sorted (E, 2) index array."""
-        f = self.faces
-        und = np.sort(
-            np.concatenate([f[:, [0, 1]], f[:, [1, 2]], f[:, [2, 0]]]), axis=1
-        )
-        return np.unique(und, axis=0)
+        # The mesh is closed and oriented, so each edge runs once in each
+        # direction and the directed edges with i < j list every edge once.
+        n = len(self.vertices)
+        tails, heads = self._directed_edges()
+        lower = tails < heads
+        keys = np.sort(tails[lower] * n + heads[lower])
+        return np.stack([keys // n, keys % n], axis=1)
 
 
 @dataclass(eq=False)
@@ -435,13 +443,16 @@ def _round_eigenbasis(mesh: TriangulatedSphere, bands: int):
         )
     mass_mat = sp.diags(core.round_mass)
     # Deterministic Lanczos: fixed starting vector, shift-invert at -0.5.
-    vals, vecs = spla.eigsh(
-        core.stiffness,
-        k=k,
-        M=mass_mat,
-        sigma=-0.5,
-        v0=np.ones(n),
-    )
+    try:
+        vals, vecs = spla.eigsh(
+            core.stiffness,
+            k=k,
+            M=mass_mat,
+            sigma=-0.5,
+            v0=np.ones(n),
+        )
+    except spla.ArpackError as exc:
+        raise NumericError(f"round eigensolve failed: {exc}") from exc
     order = np.argsort(vals)
     vals, vecs = vals[order], vecs[:, order]
     if abs(vals[0]) > 1e-8:
@@ -528,7 +539,9 @@ def geodesic_distances(
     are returned with flag True.  Otherwise fast marching over the faces
     with conformally stretched edge lengths is used (flag False); unlike an
     edge-graph shortest path it carries no systematic directional zig-zag
-    bias, only a first-order discretization error.
+    bias, only a first-order discretization error.  The march computes the
+    edge lengths of every face once per call and reaches every vertex, so
+    the result is finite everywhere.
     """
     mesh = ops.mesh
     if not 0 <= source < mesh.num_vertices:
@@ -548,18 +561,24 @@ def _fmm_face_update(t_a, t_b, len_bc, len_ac, len_ab):
     read off its distance to C.  Exact for a point source in a flat region,
     which keeps the directional error far below the edge-path zig-zag.
     Falls back to the better edge path when the source placement fails or
-    the shortest segment would leave the triangle fan.
+    the shortest segment would leave the triangle fan.  Plain float
+    arithmetic and ``math`` only, with comparisons in place of ``min`` and
+    ``max``: this runs once per front update.
     """
-    edge = min(t_a + len_ac, t_b + len_bc)
-    if not np.isfinite(t_a) or not np.isfinite(t_b):
+    via_a, via_b = t_a + len_ac, t_b + len_bc
+    edge = via_a if via_a <= via_b else via_b
+    if t_a == math.inf or t_b == math.inf:
         return edge
     a, b, c = len_bc, len_ac, len_ab
     if c <= abs(t_b - t_a) or t_a + t_b <= c:
         return edge  # arrival circles around A and B do not intersect
     # Plane coordinates: C at origin, A = (b, 0), angle at C between CA, CB.
     cos_c = (a * a + b * b - c * c) / (2.0 * a * b)
-    cos_c = min(1.0, max(-1.0, cos_c))
-    sin_c = np.sqrt(1.0 - cos_c * cos_c)
+    if cos_c > 1.0:
+        cos_c = 1.0
+    elif cos_c < -1.0:
+        cos_c = -1.0
+    sin_c = math.sqrt(1.0 - cos_c * cos_c)
     ax, ay = b, 0.0
     bx, by = a * cos_c, a * sin_c
     # Virtual source S with |S-A| = t_a, |S-B| = t_b, on the far side of AB.
@@ -569,14 +588,14 @@ def _fmm_face_update(t_a, t_b, len_bc, len_ac, len_ab):
     h_sq = t_a * t_a / cc - base * base
     if h_sq < 0.0:
         return edge
-    h = np.sqrt(h_sq)
+    h = math.sqrt(h_sq)
     # With A on the positive x axis and B in the upper half plane, C (the
     # origin) is always on the positive side of AB, so the virtual source
     # always takes the negative perpendicular.
     sx = ax + base * dx + h * dy
     sy = ay + base * dy - h * dx
-    t = float(np.hypot(sx, sy))
-    if t < max(t_a, t_b):
+    t = math.hypot(sx, sy)
+    if t < t_a or t < t_b:
         return edge
     # The segment S -> C must cross between A and B, else the straightest
     # path runs around a corner and the edge bound is the right one.
@@ -586,7 +605,7 @@ def _fmm_face_update(t_a, t_b, len_bc, len_ac, len_ab):
     s_param = (sx * (sy - ay) - sy * (sx - ax)) / denom
     if not 0.0 <= s_param <= 1.0:
         return edge
-    return min(edge, t)
+    return t if t < edge else edge
 
 
 def _vertex_faces(mesh: TriangulatedSphere) -> list[list[int]]:
@@ -598,18 +617,31 @@ def _vertex_faces(mesh: TriangulatedSphere) -> list[list[int]]:
     return [face_of_corner[lo:hi] for lo, hi in zip([0] + ends, ends)]
 
 
+# (corner updated, first front corner, second front corner) of a face
+_CORNERS = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
+
+
 def _fast_march(mesh: TriangulatedSphere, phi: np.ndarray, source: int) -> np.ndarray:
-    v, faces = mesh.vertices, mesh.faces
+    """Fast-marching distances from ``source`` to every vertex.
+
+    Each face's three conformal edge lengths (round arc times the mean of
+    the end-point scales exp(phi/2)) are computed once per call with array
+    operations; the heap loop then runs on plain Python lists, so no numpy
+    call is made per front update.
+    """
+    f = mesh.faces
     scale = np.exp(phi / 2.0)
-
-    def length(i, j):
-        arc = np.arccos(np.clip(float(v[i] @ v[j]), -1.0, 1.0))
-        return arc * 0.5 * (scale[i] + scale[j])
-
+    # Entry 3*fi + k is the edge opposite corner k of face fi, from corner
+    # k+1 to corner k+2.  Flat lists: one list object each, not one per face.
+    ends_a, ends_b = f[:, [1, 2, 0]], f[:, [2, 0, 1]]
+    dots = np.einsum("ijk,ijk->ij", mesh.vertices[ends_a], mesh.vertices[ends_b])
+    arcs = np.arccos(np.clip(dots, -1.0, 1.0))
+    lengths = (arcs * 0.5 * (scale[ends_a] + scale[ends_b])).ravel().tolist()
+    corners = f.ravel().tolist()
     vert_faces = _vertex_faces(mesh)
-    dist = np.full(mesh.num_vertices, np.inf)
+    dist = [math.inf] * mesh.num_vertices
     dist[source] = 0.0
-    done = np.zeros(mesh.num_vertices, dtype=bool)
+    done = [False] * mesh.num_vertices
     heap = [(0.0, source)]
     while heap:
         d, i = heapq.heappop(heap)
@@ -617,19 +649,20 @@ def _fast_march(mesh: TriangulatedSphere, phi: np.ndarray, source: int) -> np.nd
             continue
         done[i] = True
         for fi in vert_faces[i]:
-            tri = faces[fi]
-            for k in range(3):
-                c = tri[k]
+            base = 3 * fi
+            for k, ka, kb in _CORNERS:
+                c = corners[base + k]
                 if done[c]:
                     continue
-                a, b = tri[(k + 1) % 3], tri[(k + 2) % 3]
+                a, b = base + ka, base + kb
                 t = _fmm_face_update(
-                    dist[a], dist[b], length(b, c), length(a, c), length(a, b)
+                    dist[corners[a]], dist[corners[b]],
+                    lengths[a], lengths[b], lengths[base + k],
                 )
                 if t < dist[c]:
                     dist[c] = t
                     heapq.heappush(heap, (t, c))
-    return dist
+    return np.array(dist)
 
 
 def sample_field(

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from liouvillelab import cli
 from liouvillelab.errors import NumericError
@@ -18,6 +19,17 @@ LN_FOUR_PI = np.log(4.0 * np.pi)
 
 def run(args):
     return cli.parse_and_run([str(a) for a in args])
+
+
+def run_module(args):
+    """Run ``python -m liouvillelab.cli`` in a subprocess on this source tree."""
+    src = Path(cli.__file__).resolve().parents[1]
+    paths = filter(None, [str(src), os.environ.get("PYTHONPATH")])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
+    return subprocess.run(
+        [sys.executable, "-m", "liouvillelab.cli", *map(str, args)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
 
 
 class TestMeshInfo:
@@ -259,13 +271,7 @@ class TestExitCodes:
         args = ["minimize", "--eps", "30", "--out", str(tmp_path)]
         assert run(args) == 2
         in_process = capsys.readouterr().err
-        src = Path(cli.__file__).resolve().parents[1]
-        paths = filter(None, [str(src), os.environ.get("PYTHONPATH")])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
-        proc = subprocess.run(
-            [sys.executable, "-m", "liouvillelab.cli", *args],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
+        proc = run_module(args)
         assert proc.returncode == 2
         assert proc.stderr == in_process
         assert "in cli.parse_and_run" in in_process
@@ -325,16 +331,42 @@ class TestExitCodes:
         assert not (tmp_path / "run_manifest.json").exists()
 
     def test_non_finite_json_is_numeric_failure(self, tmp_path, capsys):
+        # pi R^2 overflows, so bubble_checks refuses before any artifact.
         assert run(["bubble", "--R", 1e200, "--out", tmp_path]) == 4
         err = capsys.readouterr().err
-        assert "NumericError" in err
-        assert "bubble.json" in err
+        assert "NumericError in green.bubble_checks" in err
+        assert "closed forms are not finite" in err
+        assert not (tmp_path / "bubble.json").exists()
+
+    def test_non_finite_json_writer_refuses(self, tmp_path):
+        with pytest.raises(NumericError, match="bubble.json"):
+            cli._write_json(tmp_path / "bubble.json", {"mass_integral": float("nan")})
         assert not (tmp_path / "bubble.json").exists()
 
     def test_missed_bubble_peak_is_numeric_failure(self, tmp_path, capsys):
         assert run(["bubble", "--R", 1e6, "--out", tmp_path]) == 4
         assert "closed form" in capsys.readouterr().err
         assert not (tmp_path / "bubble.json").exists()
+
+    def test_missed_bubble_peak_stderr_is_one_typed_line(self, tmp_path):
+        # SciPy's IntegrationWarning is folded into the error message
+        # instead of printing ahead of it.
+        proc = run_module(["bubble", "--R", "1e6", "--out", tmp_path])
+        assert proc.returncode == 4
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("NumericError in green.bubble_checks: ")
+        assert "quadrature warned: The integral is probably divergent" in lines[0]
+        assert proc.stderr == lines[0] + "\n"
+
+    def test_eigensolver_failure_maps_to_four(self, tmp_path, capsys, monkeypatch):
+        def no_convergence(*args, **kwargs):
+            raise spla.ArpackNoConvergence("synthetic", np.empty(0), np.empty((0, 0)))
+
+        monkeypatch.setattr(spla, "eigsh", no_convergence)
+        assert run(["minimize", "--level", 2, "--metric-amp", 0.3, "--out", tmp_path]) == 4
+        err = capsys.readouterr().err
+        assert "NumericError in mesh.random_band_field: round eigensolve failed" in err
 
     def test_non_finite_csv_is_numeric_failure(self, tmp_path):
         with pytest.raises(NumericError, match="profile.csv"):

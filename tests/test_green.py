@@ -163,6 +163,22 @@ class TestBubbleChecks:
         with pytest.raises(NumericError, match="mass quadrature"):
             L.bubble_checks(1e6)
 
+    @pytest.mark.parametrize("R", [1e5, 1e6, 1e100])
+    def test_quadrature_warning_is_recorded_in_the_error(self, R, recwarn):
+        # Nothing is printed; SciPy's text travels in the one-line message.
+        with pytest.raises(NumericError, match="; quadrature warned: ") as info:
+            L.bubble_checks(R)
+        assert "\n" not in str(info.value)
+        assert len(recwarn) == 0
+
+    @pytest.mark.parametrize("R", [1e155, 1e200, 1e300])
+    def test_non_finite_closed_form_is_numeric_failure(self, R, recwarn):
+        # pi R^2 overflows: the mass closed form is NaN, Dirichlet inf.
+        assert not np.isfinite(L.bubble_mass_closed_form(R))
+        with pytest.raises(NumericError, match="closed forms are not finite"):
+            L.bubble_checks(R)
+        assert len(recwarn) == 0
+
     def test_large_radius_mass_saturates(self):
         report = L.bubble_checks(100.0)
         assert abs(report.mass_integral - 1.0) < 1e-3

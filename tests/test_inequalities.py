@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
+import scipy.sparse.linalg as spla
 from scipy.integrate import simpson
 
 import liouvillelab as L
-from liouvillelab.errors import ParameterError
+from liouvillelab.errors import NumericError, ParameterError
 from liouvillelab.inequalities import (
     InequalityReport,
     _radial_disk_field,
@@ -183,6 +185,22 @@ class TestPoincareConstant:
         ops1 = L.assemble_operators(L.build_icosphere(1))
         with pytest.raises(ParameterError):
             poincare_constant(ops1, 2.0, modes=50)
+
+    def test_eigsh_no_convergence_is_numeric_error(self, ops2, monkeypatch):
+        def no_convergence(*args, **kwargs):
+            raise spla.ArpackNoConvergence("synthetic", np.empty(0), np.empty((0, 0)))
+
+        monkeypatch.setattr(spla, "eigsh", no_convergence)
+        with pytest.raises(NumericError, match="Poincare eigensolve failed"):
+            poincare_constant(ops2, 2.0, modes=8)
+
+    def test_dense_eigh_failure_is_numeric_error(self, ops2, monkeypatch):
+        def not_definite(*args, **kwargs):
+            raise sla.LinAlgError("synthetic: pencil is not positive definite")
+
+        monkeypatch.setattr(sla, "eigh", not_definite)
+        with pytest.raises(NumericError, match="reduced eigenproblem failed"):
+            poincare_constant(ops2, 2.0, modes=8)
 
 
 class TestExpIntegrability:

@@ -1,5 +1,8 @@
+import heapq
+
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from liouvillelab import (
     DataError,
@@ -180,6 +183,130 @@ def test_geodesic_distances_round_and_bumpy(ops3, bumpy3):
     assert dist_b[mask].min() > 0.0
 
 
+def _mobius_background(level, lam=2.0):
+    mesh = build_icosphere(level)
+    phi = mobius_dilation_factor(mesh, lam)
+    return assemble_operators(set_conformal_background(mesh, phi, normalize=True)), phi
+
+
+def _mobius_march_error(level, lam=2.0):
+    """Largest fast-march error on a Moebius background against the exact
+    distances: great-circle arcs between the dilated images."""
+    ops, phi = _mobius_background(level, lam)
+    x = ops.mesh.vertices
+    # Stereographic projection from x3 = 1, dilation by lam, and back; the
+    # projection pole itself has no finite image and is left out.
+    keep = np.flatnonzero(1.0 - x[:, 2] > 1e-12)
+    y = lam * x[keep, :2] / (1.0 - x[keep, 2])[:, None]
+    r2 = (y * y).sum(axis=1)
+    images = np.column_stack([2.0 * y, r2 - 1.0]) / (r2 + 1.0)[:, None]
+    # normalize=True added a constant to phi; lengths scale by exp(shift/2).
+    shift = ops.mesh.background_factor[0] - phi[0]
+    source = int(np.flatnonzero(np.abs(x[:, 2]) < 1e-12)[0])  # on the equator
+    dist, exact = geodesic_distances(ops, source)
+    assert not exact
+    arcs = np.arccos(np.clip(images @ images[keep == source][0], -1.0, 1.0))
+    return np.abs(dist[keep] - np.exp(shift / 2.0) * arcs).max()
+
+
+def test_fast_march_against_exact_mobius_distances():
+    # Measured 4.60e-2 at level 4 and 2.76e-2 at level 5 (first order in
+    # the edge length); pinned with a 10% margin.
+    err4 = _mobius_march_error(4)
+    err5 = _mobius_march_error(5)
+    assert err4 <= 0.0506
+    assert err5 <= 0.0303
+    assert err5 < 0.7 * err4
+
+
+def _reference_fmm_face_update(t_a, t_b, len_bc, len_ac, len_ab):
+    # The numpy-per-update face update the list-based march replaced.
+    edge = min(t_a + len_ac, t_b + len_bc)
+    if not np.isfinite(t_a) or not np.isfinite(t_b):
+        return edge
+    a, b, c = len_bc, len_ac, len_ab
+    if c <= abs(t_b - t_a) or t_a + t_b <= c:
+        return edge  # arrival circles around A and B do not intersect
+    # Plane coordinates: C at origin, A = (b, 0), angle at C between CA, CB.
+    cos_c = (a * a + b * b - c * c) / (2.0 * a * b)
+    cos_c = min(1.0, max(-1.0, cos_c))
+    sin_c = np.sqrt(1.0 - cos_c * cos_c)
+    ax, ay = b, 0.0
+    bx, by = a * cos_c, a * sin_c
+    # Virtual source S with |S-A| = t_a, |S-B| = t_b, on the far side of AB.
+    dx, dy = bx - ax, by - ay
+    cc = c * c
+    base = 0.5 * (1.0 + (t_a * t_a - t_b * t_b) / cc)
+    h_sq = t_a * t_a / cc - base * base
+    if h_sq < 0.0:
+        return edge
+    h = np.sqrt(h_sq)
+    # With A on the positive x axis and B in the upper half plane, C (the
+    # origin) is always on the positive side of AB, so the virtual source
+    # always takes the negative perpendicular.
+    sx = ax + base * dx + h * dy
+    sy = ay + base * dy - h * dx
+    t = float(np.hypot(sx, sy))
+    if t < max(t_a, t_b):
+        return edge
+    # The segment S -> C must cross between A and B, else the straightest
+    # path runs around a corner and the edge bound is the right one.
+    denom = sx * dy - sy * dx
+    if abs(denom) <= 1e-300:
+        return edge
+    s_param = (sx * (sy - ay) - sy * (sx - ax)) / denom
+    if not 0.0 <= s_param <= 1.0:
+        return edge
+    return min(edge, t)
+
+
+def _reference_fast_march(mesh, phi, source):
+    # The march with a per-update arccos edge length, kept as the reference.
+    v, faces = mesh.vertices, mesh.faces
+    scale = np.exp(phi / 2.0)
+
+    def length(i, j):
+        arc = np.arccos(np.clip(float(v[i] @ v[j]), -1.0, 1.0))
+        return arc * 0.5 * (scale[i] + scale[j])
+
+    vert_faces = _vertex_faces(mesh)
+    dist = np.full(mesh.num_vertices, np.inf)
+    dist[source] = 0.0
+    done = np.zeros(mesh.num_vertices, dtype=bool)
+    heap = [(0.0, source)]
+    while heap:
+        d, i = heapq.heappop(heap)
+        if done[i] or d > dist[i]:
+            continue
+        done[i] = True
+        for fi in vert_faces[i]:
+            tri = faces[fi]
+            for k in range(3):
+                c = tri[k]
+                if done[c]:
+                    continue
+                a, b = tri[(k + 1) % 3], tri[(k + 2) % 3]
+                t = _reference_fmm_face_update(
+                    dist[a], dist[b], length(b, c), length(a, c), length(a, b)
+                )
+                if t < dist[c]:
+                    dist[c] = t
+                    heapq.heappush(heap, (t, c))
+    return dist
+
+
+def test_fast_march_matches_loop_reference(bumpy3):
+    mobius4, _ = _mobius_background(4)
+    for ops in (bumpy3, mobius4):
+        mesh = ops.mesh
+        for source in (0, 17, mesh.num_vertices // 2, mesh.num_vertices - 1):
+            dist, exact = geodesic_distances(ops, source)
+            expected = _reference_fast_march(mesh, mesh.background_factor, source)
+            assert not exact
+            assert np.isfinite(dist).all()
+            assert np.abs(dist - expected).max() <= 1e-12
+
+
 def test_sample_field_at_vertices_and_constants(ops3, rng):
     mesh = ops3.mesh
     values = rng.standard_normal(mesh.num_vertices)
@@ -200,6 +327,45 @@ def test_vertex_faces_matches_loop_reference():
         for vertex in face:
             expected[vertex].append(fi)
     assert _vertex_faces(mesh) == expected
+
+
+def _reference_edges(mesh):
+    # Row-wise unique over sorted edge rows, which integer keys replaced.
+    f = mesh.faces
+    und = np.sort(np.concatenate([f[:, [0, 1]], f[:, [1, 2]], f[:, [2, 0]]]), axis=1)
+    return np.unique(und, axis=0)
+
+
+@pytest.mark.parametrize("level", [0, 1, 2, 3, 4])
+def test_edges_match_row_unique_reference(level):
+    mesh = build_icosphere(level)
+    edges = mesh.edges()
+    assert edges.dtype == np.int64
+    assert np.array_equal(edges, _reference_edges(mesh))
+    assert len(edges) == mesh.num_edges
+
+
+def test_edges_match_row_unique_reference_after_off_roundtrip(tmp_path):
+    # Rotating each face's corners keeps the orientation but changes which
+    # end of every edge comes first in the face rows.
+    mesh = build_icosphere(3)
+    shift = np.arange(mesh.num_faces) % 3
+    faces = np.stack([np.roll(row, s) for row, s in zip(mesh.faces, shift)])
+    path = tmp_path / "rotated.off"
+    write_off_mesh(path, TriangulatedSphere(mesh.vertices, faces, np.zeros(mesh.num_vertices)))
+    back = read_off_mesh(path)
+    assert np.array_equal(back.faces, faces)
+    assert np.array_equal(back.edges(), _reference_edges(back))
+    assert np.array_equal(back.edges(), mesh.edges())
+
+
+def test_round_eigensolve_failure_is_numeric_error(monkeypatch):
+    def no_convergence(*args, **kwargs):
+        raise spla.ArpackNoConvergence("synthetic", np.empty(0), np.empty((0, 0)))
+
+    monkeypatch.setattr(spla, "eigsh", no_convergence)
+    with pytest.raises(NumericError, match="round eigensolve failed"):
+        random_band_field(build_icosphere(2), 0, 4, 0.5)
 
 
 def test_off_roundtrip(tmp_path):
