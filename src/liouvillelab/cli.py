@@ -303,12 +303,16 @@ def _result_json(ops, result) -> dict:
     }
 
 
-def _cmd_minimize(spec: RunSpec, outdir: Path):
-    config = SolverConfig(
-        epsilon=spec.epsilons[0],
+def _solver_config(spec: RunSpec, eps: float) -> SolverConfig:
+    return SolverConfig(
+        epsilon=eps,
         max_iterations=_or_default(spec.max_iterations, 2000),
         gradient_tolerance=_or_default(spec.tolerance, 1e-8),
     )
+
+
+def _cmd_minimize(spec: RunSpec, outdir: Path):
+    config = _solver_config(spec, spec.epsilons[0])
     ops = _operators(spec)
     initial = _initial_field(spec, ops, default_amplitude=0.0)
     result = minimize_perturbed(ops, config, initial)
@@ -342,12 +346,7 @@ def _cmd_sweep(spec: RunSpec, outdir: Path):
     warm = _initial_field(spec, ops, default_amplitude=0.0)
     last = None
     for eps in spec.epsilons:
-        config = SolverConfig(
-            epsilon=eps,
-            max_iterations=_or_default(spec.max_iterations, 2000),
-            gradient_tolerance=_or_default(spec.tolerance, 1e-8),
-        )
-        result = minimize_perturbed(ops, config, warm)
+        result = minimize_perturbed(ops, _solver_config(spec, eps), warm)
         warm = result.u_min  # continuation between epsilon stages
         last = result
         rows.append(

@@ -14,11 +14,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
-from .energy import conformal_curvature, liouville_energy, log_volume
-from .errors import DataError, NumericError, ParameterError
-from .mesh import FOUR_PI, DiscreteOperators, ScalarField
+from .energy import _check_field, conformal_curvature, liouville_energy, log_volume
+from .errors import NumericError, ParameterError
+from .mesh import FOUR_PI, DiscreteOperators, ScalarField, _solve
 
 _DT_FLOOR = 1e-8
 _DT_CAP = 0.5
@@ -59,13 +58,7 @@ def _semi_implicit(ops, u, dt):
     weights = ops.mass * np.exp(u)
     matrix = sp.diags(weights) + dt * ops.stiffness
     rhs = weights * (u + dt * (2.0 - 2.0 * ops.curvature * np.exp(-u)))
-    try:
-        u_new = spla.spsolve(matrix.tocsc(), rhs)
-    except RuntimeError as exc:
-        raise NumericError(f"flow step solve failed: {exc}") from exc
-    if not np.isfinite(u_new).all():
-        raise NumericError("flow step produced non-finite values")
-    return _renormalize(ops, u_new)
+    return _renormalize(ops, _solve(matrix, rhs, "flow step"))
 
 
 def _guarded_step(ops, u, energy, dt):
@@ -92,10 +85,7 @@ def flow_step(ops: DiscreteOperators, u: ScalarField, dt: float) -> ScalarField:
     """
     if not np.isfinite(dt) or dt <= 0:
         raise ParameterError("dt must be positive")
-    u = np.asarray(u, dtype=np.float64)
-    if u.shape != ops.mass.shape:
-        raise DataError("field length does not match the mesh")
-    u0 = _renormalize(ops, u)
+    u0 = _renormalize(ops, _check_field(ops, u))
     step = _guarded_step(ops, u0, liouville_energy(ops, u0).total, dt)
     if step is None:
         raise NumericError(
@@ -119,12 +109,7 @@ def run_flow(
         raise ParameterError("t_end must be positive")
     if not np.isfinite(dt0) or dt0 <= 0:
         raise ParameterError("dt0 must be positive")
-    u = np.asarray(u0, dtype=np.float64)
-    if u.shape != ops.mass.shape:
-        raise DataError("field length does not match the mesh")
-    if not np.isfinite(u).all():
-        raise DataError("initial field contains non-finite entries")
-    u = _renormalize(ops, u)
+    u = _renormalize(ops, _check_field(ops, u0))
     trace = FlowTrace()
 
     def record(t, u_state, energy, dt_used):

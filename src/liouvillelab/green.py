@@ -23,7 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 from scipy.integrate import IntegrationWarning, quad
 
 from .energy import EIGHT_PI
@@ -32,6 +31,7 @@ from .mesh import (
     FOUR_PI,
     DiscreteOperators,
     ScalarField,
+    _solve,
     geodesic_distances,
     sample_field,
 )
@@ -95,15 +95,8 @@ def solve_green(ops: DiscreteOperators, pole: int) -> GreenResult:
     rhs = -2.0 * ops.curvature * ops.mass
     rhs[pole] += EIGHT_PI
     column = ops.mass / FOUR_PI
-    system = sp.bmat(
-        [[ops.stiffness, column[:, None]], [column[None, :], None]], format="csc"
-    )
-    try:
-        solution = spla.spsolve(system, np.concatenate([rhs, [0.0]]))
-    except RuntimeError as exc:
-        raise NumericError(f"Green system solve failed: {exc}") from exc
-    if not np.isfinite(solution).all():
-        raise NumericError("Green system produced non-finite values")
+    system = sp.bmat([[ops.stiffness, column[:, None]], [column[None, :], None]])
+    solution = _solve(system, np.concatenate([rhs, [0.0]]), "Green system")
     g_field = solution[:n]
     distances, exact = geodesic_distances(ops, pole)
     result = GreenResult(

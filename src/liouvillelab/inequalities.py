@@ -19,10 +19,11 @@ import scipy.sparse.linalg as spla
 from scipy.integrate import cumulative_trapezoid, simpson
 
 from .energy import log_volume, onofri_deficit
-from .errors import DataError, NumericError, ParameterError
+from .errors import NumericError, ParameterError
 from .mesh import (
     FOUR_PI,
     DiscreteOperators,
+    _factor,
     mobius_dilation_factor,
     random_band_field,
 )
@@ -236,8 +237,8 @@ def check_global_mt(
     if trials < 1:
         raise ParameterError("trials must be >= 1")
     kappa = 1.0 / SIXTEEN_PI + epsilon
-    metric = (2.0 * kappa * ops.stiffness + sp.diags(ops.mass)).tocsc()
-    solve_metric = spla.splu(metric).solve
+    metric = 2.0 * kappa * ops.stiffness + sp.diags(ops.mass)
+    solve_metric = _factor(metric, "ascent metric")
     best_value, best_seed = -np.inf, sample_seed(seed, 0)
     rows = []
     total_iterations = 0

@@ -21,11 +21,12 @@ from __future__ import annotations
 
 import csv
 import heapq
-import io
 import logging
 import math
+import re
+import warnings
 import weakref
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -176,6 +177,50 @@ class DiscreteOperators:
     mean_edge_length: float
 
 
+# SciPy warns and returns NaN on an exactly singular matrix; this filter
+# raises the warning, which SciPy attributes to its caller, in _solve only.
+# _solve re-adds it when a catch_warnings block has dropped it, rather than
+# setting it per call: each filter change resets the registries that show a
+# "default" warning (a numpy overflow, say) once per code location.
+_RANK_MODULE = re.escape(__name__) + r"\Z"
+_RANK_FILTER = ("error", None, spla.MatrixRankWarning, re.compile(_RANK_MODULE), 0)
+
+
+def _solve(matrix, rhs, what: str) -> np.ndarray:
+    """One-shot sparse solve; any failure is a NumericError naming ``what``.
+
+    That covers SuperLU's RuntimeError, SciPy's MatrixRankWarning and a
+    non-finite solution.  SciPy is called through ``spla`` attributes, so
+    wrappers installed on scipy.sparse.linalg see every call.
+    """
+    if _RANK_FILTER not in warnings.filters:
+        warnings.filterwarnings("error", "", spla.MatrixRankWarning, _RANK_MODULE)
+    try:
+        solution = spla.spsolve(matrix.tocsc(), rhs)
+    except (RuntimeError, spla.MatrixRankWarning) as exc:
+        raise NumericError(f"{what} solve failed: {exc}") from exc
+    return _finite_solution(solution, what)
+
+
+def _factor(matrix, what: str):
+    """LU factor for repeated solves; returns ``solve(rhs)``, checked as in _solve."""
+    try:
+        lu = spla.splu(matrix.tocsc())
+    except RuntimeError as exc:
+        raise NumericError(f"{what} factorization failed: {exc}") from exc
+
+    def _solve_factored(rhs):
+        return _finite_solution(lu.solve(rhs), what)
+
+    return _solve_factored
+
+
+def _finite_solution(solution, what):
+    if not np.isfinite(solution).all():
+        raise NumericError(f"{what} produced non-finite values")
+    return solution
+
+
 @dataclass(eq=False)
 class _GeometricCore:
     # Background-independent assembly products, cached per mesh identity.
@@ -220,16 +265,15 @@ def _icosahedron() -> tuple[np.ndarray, np.ndarray]:
 
 def _subdivide(verts: np.ndarray, faces: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # One 4-to-1 geodesic split: edge midpoints are pushed to the sphere.
-    e = np.concatenate([faces[:, [0, 1]], faces[:, [1, 2]], faces[:, [2, 0]]])
-    e_sorted = np.sort(e, axis=1)
-    edges, inverse = np.unique(e_sorted, axis=0, return_inverse=True)
-    mid = verts[edges[:, 0]] + verts[edges[:, 1]]
+    # Edge (i, j), i < j, is the int64 key i*V + j, which sorts like the row;
+    # the directed edges run corner 0->1, 1->2, 2->0 face by face.
+    n = len(verts)
+    tails, heads = faces.ravel(), faces[:, [1, 2, 0]].ravel()
+    keys = np.minimum(tails, heads) * n + np.maximum(tails, heads)
+    edges, inverse = np.unique(keys, return_inverse=True)
+    mid = verts[edges // n] + verts[edges % n]
     mid /= np.linalg.norm(mid, axis=1)[:, None]
-    mid_idx = len(verts) + np.arange(len(edges))
-    nf = len(faces)
-    m01 = mid_idx[inverse[:nf]]
-    m12 = mid_idx[inverse[nf : 2 * nf]]
-    m20 = mid_idx[inverse[2 * nf :]]
+    m01, m12, m20 = (n + inverse).reshape(-1, 3).T
     f0, f1, f2 = faces[:, 0], faces[:, 1], faces[:, 2]
     new_faces = np.concatenate(
         [

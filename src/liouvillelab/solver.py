@@ -7,17 +7,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .energy import (
     EIGHT_PI,
     _check_epsilon,
+    _check_field,
     log_volume,
     perturbed_functional,
     perturbed_gradient,
 )
 from .errors import ConvergenceError, DataError, NumericError, ParameterError
-from .mesh import FOUR_PI, DiscreteOperators, ScalarField, integrate
+from .mesh import FOUR_PI, DiscreteOperators, ScalarField, _factor, _solve, integrate
 
 _STEP_FLOOR = 2.0**-30
 _DESCENT_CAP = 1000  # H1 descent steps before the Newton polish takes over
@@ -131,20 +131,12 @@ def _newton_mean_field(ops, epsilon, v0, tolerance, max_iterations,
         if res_norm <= tolerance:
             return v, trace
         jac = ops.stiffness - sp.diags(beta * np.exp(v) * ops.mass)
-        weak = residual * ops.mass
-        try:
-            if lam == 0.0:
-                step = spla.spsolve(jac.tocsc(), -weak)
-            else:
-                normal = jac @ sp.diags(1.0 / ops.mass) @ jac
-                step = spla.spsolve(
-                    (normal + sp.diags(lam * ops.mass)).tocsc(),
-                    -(jac @ residual),
-                )
-        except RuntimeError as exc:
-            raise NumericError(f"singular mean-field Jacobian: {exc}") from exc
-        if not np.isfinite(step).all():
-            raise NumericError("mean-field Newton step is not finite")
+        if lam == 0.0:
+            matrix, rhs = jac, -(residual * ops.mass)
+        else:
+            normal = jac @ sp.diags(1.0 / ops.mass) @ jac
+            matrix, rhs = normal + sp.diags(lam * ops.mass), -(jac @ residual)
+        step = _solve(matrix, rhs, "mean-field Newton step")
         damping = 1.0
         while damping >= _STEP_FLOOR:
             v_try = v + damping * step
@@ -199,11 +191,7 @@ def solve_mean_field(
     if initial is None:
         v0 = np.full(ops.mass.shape, -np.log(ops.total_area))
     else:
-        v0 = np.asarray(initial, dtype=np.float64)
-        if v0.shape != ops.mass.shape:
-            raise DataError("initial field length does not match the mesh")
-        if not np.isfinite(v0).all():
-            raise DataError("initial field contains non-finite entries")
+        v0 = _check_field(ops, initial)
         v0 = v0 - log_volume(ops, v0)
     v, trace = _newton_mean_field(
         ops, epsilon, v0, tolerance * EIGHT_PI, max_iterations
@@ -260,18 +248,14 @@ def minimize_perturbed(
     if initial is None:
         initial = np.zeros(ops.mass.shape)
     else:
-        initial = np.asarray(initial, dtype=np.float64)
-        if initial.shape != ops.mass.shape:
-            raise DataError("initial field length does not match the mesh")
-        if not np.isfinite(initial).all():
-            raise DataError("initial field contains non-finite entries")
+        initial = _check_field(ops, initial)
 
     u = project_constraint(ops, initial)
     energy = perturbed_functional(ops, u, config.epsilon).total
     grad = perturbed_gradient(ops, u, config.epsilon)
     grad_norm = mass_norm(ops, grad)
     rows = [(0, energy, grad_norm)]
-    precond = spla.splu((ops.stiffness + sp.diags(ops.mass)).tocsc())
+    precond = _factor(ops.stiffness + sp.diags(ops.mass), "H1 preconditioner")
     handoff = max(
         config.gradient_tolerance * max(1.0, abs(energy)),
         min(1e-2, 1e-3 * grad_norm),
@@ -279,7 +263,7 @@ def minimize_perturbed(
     step = 1.0
     iteration = 0
     while iteration < min(_DESCENT_CAP, config.max_iterations) and grad_norm > handoff:
-        direction = precond.solve(grad * ops.mass)
+        direction = precond(grad * ops.mass)
         slope = float((direction * grad) @ ops.mass)
         step = min(step * 2.0, 16.0)
         decrease = _SUFFICIENT_DECREASE * slope
@@ -400,15 +384,8 @@ def disk_min_dirichlet(
                 break
             hess = 2.0 * interior - sp.diags(4.0 * mu * q[:n] * e2w[:n])
             column = -2.0 * (q[:n] * e2w[:n])
-            kkt = sp.bmat(
-                [[hess, column[:, None]], [-column[None, :], None]], format="csc"
-            )
-            try:
-                delta = spla.spsolve(kkt, -np.concatenate([grad_w, [gap]]))
-            except RuntimeError as exc:
-                raise NumericError(f"singular disk Lagrange system: {exc}") from exc
-            if not np.isfinite(delta).all():
-                raise NumericError("disk Newton step is not finite")
+            kkt = sp.bmat([[hess, column[:, None]], [-column[None, :], None]])
+            delta = _solve(kkt, -np.concatenate([grad_w, [gap]]), "disk Newton step")
             damping = 1.0
             while damping >= _STEP_FLOOR:
                 w_try = w.copy()

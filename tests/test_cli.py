@@ -21,13 +21,21 @@ def run(args):
     return cli.parse_and_run([str(a) for a in args])
 
 
-def run_module(args):
-    """Run ``python -m liouvillelab.cli`` in a subprocess on this source tree."""
+def run_module(args, prelude=None):
+    """Run ``python -m liouvillelab.cli`` in a subprocess on this source tree.
+
+    With ``prelude``, the subprocess runs that code first (to patch a
+    dependency) and then the CLI entry point.
+    """
     src = Path(cli.__file__).resolve().parents[1]
     paths = filter(None, [str(src), os.environ.get("PYTHONPATH")])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
+    if prelude is None:
+        command = ["-m", "liouvillelab.cli"]
+    else:
+        command = ["-c", prelude + "\nfrom liouvillelab.cli import main\nmain()\n"]
     return subprocess.run(
-        [sys.executable, "-m", "liouvillelab.cli", *map(str, args)],
+        [sys.executable, *command, *map(str, args)],
         capture_output=True, text=True, env=env, timeout=120,
     )
 
@@ -357,6 +365,25 @@ class TestExitCodes:
         assert len(lines) == 1
         assert lines[0].startswith("NumericError in green.bubble_checks: ")
         assert "quadrature warned: The integral is probably divergent" in lines[0]
+        assert proc.stderr == lines[0] + "\n"
+
+    def test_singular_solve_stderr_is_one_typed_line(self, tmp_path):
+        # A NaN-returning spsolve that warns the way SciPy's does on an
+        # exactly singular matrix.
+        prelude = (
+            "import warnings, numpy as np, scipy.sparse.linalg as spla\n"
+            "def spsolve(matrix, rhs):\n"
+            "    warnings.warn('Matrix is exactly singular', spla.MatrixRankWarning,"
+            " stacklevel=2)\n"
+            "    return np.full(len(rhs), np.nan)\n"
+            "spla.spsolve = spsolve\n"
+        )
+        proc = run_module(["green", "--level", 3, "--out", tmp_path], prelude)
+        assert proc.returncode == 4
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("NumericError in green.solve_green: ")
+        assert "Matrix is exactly singular" in lines[0]
         assert proc.stderr == lines[0] + "\n"
 
     def test_eigensolver_failure_maps_to_four(self, tmp_path, capsys, monkeypatch):

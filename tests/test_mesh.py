@@ -25,7 +25,7 @@ from liouvillelab import (
     write_field_csv,
     write_off_mesh,
 )
-from liouvillelab.mesh import _vertex_faces
+from liouvillelab.mesh import _icosahedron, _vertex_faces
 
 
 def test_subdivision_counts():
@@ -357,6 +357,39 @@ def test_edges_match_row_unique_reference_after_off_roundtrip(tmp_path):
     assert np.array_equal(back.faces, faces)
     assert np.array_equal(back.edges(), _reference_edges(back))
     assert np.array_equal(back.edges(), mesh.edges())
+
+
+def _reference_subdivide(verts, faces):
+    # The row-unique 4-to-1 split that integer edge keys replaced.
+    e = np.concatenate([faces[:, [0, 1]], faces[:, [1, 2]], faces[:, [2, 0]]])
+    edges, inverse = np.unique(np.sort(e, axis=1), axis=0, return_inverse=True)
+    mid = verts[edges[:, 0]] + verts[edges[:, 1]]
+    mid /= np.linalg.norm(mid, axis=1)[:, None]
+    mid_idx = len(verts) + np.arange(len(edges))
+    nf = len(faces)
+    m01 = mid_idx[inverse[:nf]]
+    m12 = mid_idx[inverse[nf : 2 * nf]]
+    m20 = mid_idx[inverse[2 * nf :]]
+    f0, f1, f2 = faces[:, 0], faces[:, 1], faces[:, 2]
+    new_faces = np.concatenate(
+        [
+            np.stack([f0, m01, m20], axis=1),
+            np.stack([f1, m12, m01], axis=1),
+            np.stack([f2, m20, m12], axis=1),
+            np.stack([m01, m12, m20], axis=1),
+        ]
+    )
+    return np.vstack([verts, mid]), new_faces
+
+
+@pytest.mark.parametrize("level", [0, 1, 2, 3, 4, 5, 6])
+def test_subdivide_matches_row_unique_reference(level):
+    verts, faces = _icosahedron()
+    for _ in range(level):
+        verts, faces = _reference_subdivide(verts, faces)
+    mesh = build_icosphere(level)
+    assert np.array_equal(mesh.vertices, verts)
+    assert np.array_equal(mesh.faces, faces)
 
 
 def test_round_eigensolve_failure_is_numeric_error(monkeypatch):
