@@ -6,6 +6,8 @@ property suites, and a normalized curvature flow, with a CLI harness.
 
 __version__ = "0.1.0"
 
+from types import ModuleType as _ModuleType
+
 from .energy import (
     EIGHT_PI,
     EnergyBreakdown,
@@ -77,65 +79,10 @@ from .solver import (
     solve_mean_field,
 )
 
-__all__ = [
-    "EIGHT_PI",
-    "FOUR_PI",
-    "BubbleReport",
-    "ConvergenceError",
-    "DataError",
-    "DiscreteOperators",
-    "DiskMinimum",
-    "EnergyBreakdown",
-    "FlowTrace",
-    "GreenResult",
-    "InequalityReport",
-    "LabError",
-    "MeshQualityError",
-    "MinimizerResult",
-    "NumericError",
-    "ParameterError",
-    "ResolutionError",
-    "SolverConfig",
-    "TriangulatedSphere",
-    "assemble_operators",
-    "brezis_merle_check",
-    "bubble_checks",
-    "bubble_dirichlet_closed_form",
-    "bubble_mass_closed_form",
-    "bubble_profile",
-    "build_icosphere",
-    "check_global_mt",
-    "check_local_mt",
-    "conformal_curvature",
-    "dirichlet_energy",
-    "disk_min_dirichlet",
-    "extract_A",
-    "flow_step",
-    "geodesic_distances",
-    "integrate",
-    "liouville_energy",
-    "log_volume",
-    "lower_bound_predictor",
-    "mass_norm",
-    "minimize_perturbed",
-    "mobius_dilation_factor",
-    "onofri_deficit",
-    "onofri_suite",
-    "perturbed_functional",
-    "perturbed_gradient",
-    "poincare_constant",
-    "project_constraint",
-    "random_band_field",
-    "read_field_csv",
-    "read_off_mesh",
-    "rescale_diagnostic",
-    "run_flow",
-    "sample_field",
-    "sample_seed",
-    "set_conformal_background",
-    "solve_green",
-    "solve_mean_field",
-    "disk_floor_gap",
-    "write_field_csv",
-    "write_off_mesh",
-]
+# Every public name bound above; the submodules imported along the way and
+# the private helpers stay out.
+__all__ = sorted(
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

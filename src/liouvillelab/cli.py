@@ -37,6 +37,7 @@ from .green import (
     solve_green,
 )
 from .inequalities import (
+    _SEED_STRIDE,
     brezis_merle_check,
     check_global_mt,
     check_local_mt,
@@ -45,6 +46,7 @@ from .inequalities import (
     disk_floor_gap,
 )
 from .mesh import (
+    _is_round,
     assemble_operators,
     build_icosphere,
     integrate,
@@ -57,19 +59,7 @@ from .mesh import (
 from .solver import SolverConfig, disk_min_dirichlet, minimize_perturbed, solve_mean_field
 from .svg import write_line_plot
 
-_COMMANDS = (
-    "minimize",
-    "sweep-eps",
-    "mean-field",
-    "green",
-    "bubble",
-    "flow",
-    "inequalities",
-    "disk",
-    "mesh-info",
-)
-
-_SEED_SCHEME = "child_seed = seed * 1000003 + index"
+_SEED_SCHEME = f"child_seed = seed * {_SEED_STRIDE} + index"
 
 
 def _parse_eps(text: str) -> tuple:
@@ -106,9 +96,10 @@ class RunSpec:
     """Fully resolved inputs of one harness run, and the CLI's option table.
 
     Every field but ``command`` is one option: its metadata names the flag
-    and config key and the converter from text.  tolerance, max_iterations,
-    amplitude and grid_n default to None, meaning "use the command's own
-    default"; output_dir defaults to runs/<command>.  Validation of numeric
+    and config key and the converter from text.  tolerance, max_iterations
+    and grid_n default to None, meaning "use the library function's own
+    default"; amplitude defaults to None, meaning "use the command's own
+    start"; output_dir defaults to runs/<command>.  Validation of numeric
     ranges is left to the library calls so the failure surface is identical
     for CLI and programmatic use.
     """
@@ -146,7 +137,7 @@ class RunSpec:
     plots: bool = _option("plots", True, _parse_bool, "skip SVG figures")
 
     def __post_init__(self):
-        if self.command not in _COMMANDS:
+        if self.command not in _HANDLERS:
             raise ParameterError(f"unknown command '{self.command}'")
         if not self.epsilons:
             raise ParameterError("at least one epsilon value is required")
@@ -191,7 +182,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Numerical laboratory for a conformal curvature "
         "functional on triangulated spheres.",
     )
-    parser.add_argument("command", choices=_COMMANDS)
+    parser.add_argument("command", choices=list(_HANDLERS))
     parser.add_argument("--config", default=None, help="key = value config file")
     for key, f in _OPTIONS.items():
         if f.default is True:
@@ -238,13 +229,13 @@ def _operators(spec: RunSpec):
     return assemble_operators(_build_mesh(spec))
 
 
-def _or_default(value, default):
-    """A command's own default, used only where the option was left unset."""
-    return default if value is None else value
+def _given(**options) -> dict:
+    """The options the user set; the library's own defaults fill the rest."""
+    return {key: value for key, value in options.items() if value is not None}
 
 
 def _initial_field(spec: RunSpec, ops, default_amplitude: float):
-    amp = _or_default(spec.amplitude, default_amplitude)
+    amp = default_amplitude if spec.amplitude is None else spec.amplitude
     if amp == 0.0:
         return np.zeros(ops.mass.shape)
     return random_band_field(ops.mesh, spec.seed, spec.bands, amp)
@@ -306,8 +297,9 @@ def _result_json(ops, result) -> dict:
 def _solver_config(spec: RunSpec, eps: float) -> SolverConfig:
     return SolverConfig(
         epsilon=eps,
-        max_iterations=_or_default(spec.max_iterations, 2000),
-        gradient_tolerance=_or_default(spec.tolerance, 1e-8),
+        **_given(
+            max_iterations=spec.max_iterations, gradient_tolerance=spec.tolerance
+        ),
     )
 
 
@@ -393,8 +385,7 @@ def _cmd_mean_field(spec: RunSpec, outdir: Path):
         ops,
         spec.epsilons[0],
         initial=initial,
-        tolerance=_or_default(spec.tolerance, 1e-10),
-        max_iterations=_or_default(spec.max_iterations, 100),
+        **_given(tolerance=spec.tolerance, max_iterations=spec.max_iterations),
     )
     artifacts = ["v_field.csv", "trace.csv", "result.json"]
     write_field_csv(outdir / "v_field.csv", result.v_field)
@@ -441,7 +432,7 @@ def _cmd_green(spec: RunSpec, outdir: Path):
         keep = result.distances[order] > 0.5 * ops.mean_edge_length
         dist = result.distances[order][keep]
         series = {"computed": (dist, result.field[order][keep])}
-        if np.abs(ops.mesh.background_factor).max() <= 1e-12:
+        if _is_round(ops.mesh):
             series["closed_form"] = (dist, -4.0 * np.log(np.sin(dist / 2.0)) - 2.0)
         write_line_plot(
             outdir / "green_vs_distance.svg",
@@ -460,7 +451,7 @@ def _cmd_green(spec: RunSpec, outdir: Path):
 
 def _cmd_bubble(spec: RunSpec, outdir: Path):
     radius = spec.bubble_radius
-    report = bubble_checks(radius, quadrature_n=_or_default(spec.grid_n, 2001))
+    report = bubble_checks(radius, **_given(quadrature_n=spec.grid_n))
     payload = report.as_dict()
     payload["dirichlet_closed_form"] = bubble_dirichlet_closed_form(radius)
     payload["mass_closed_form"] = bubble_mass_closed_form(radius)
@@ -555,33 +546,32 @@ def _cmd_inequalities(spec: RunSpec, outdir: Path):
     lines = []
     artifacts = ["inequalities.json"]
 
-    local = check_local_mt(
-        spec.r, spec.samples, spec.seed, grid_n=_or_default(spec.grid_n, 2048)
-    )
+    grid = _given(grid_n=spec.grid_n)
+    local = check_local_mt(spec.r, spec.samples, spec.seed, **grid)
     reports.append(local)
 
-    grid_n = _or_default(spec.grid_n, 4096)
     gaps = []
     for t in (0.5, 1.0, 2.0, 4.0):
         a = t * np.pi * spec.r * spec.r * np.exp(2.0 * spec.b)
-        gaps.append(disk_floor_gap(a, spec.b, spec.r, grid_n=grid_n))
+        gaps.append(disk_floor_gap(a, spec.b, spec.r, **grid))
     reports.extend(gaps)
 
     global_mt = check_global_mt(ops, spec.epsilons[0], spec.trials, spec.seed)
     reports.append(global_mt)
 
-    if np.abs(ops.mesh.background_factor).max() <= 1e-12:
-        onofri_ops = ops
-    else:
-        # The sharp-deficit suite is defined on the round background only.
-        onofri_ops = assemble_operators(build_icosphere(spec.mesh_level))
+    onofri_ops = ops
+    if not _is_round(ops.mesh):
+        # The sharp-deficit suite is defined on the round background only,
+        # so it runs on the same mesh with the background removed.
+        flat = np.zeros(ops.mesh.num_vertices)
+        onofri_ops = assemble_operators(set_conformal_background(ops.mesh, flat))
     onofri = onofri_suite(onofri_ops, spec.samples, spec.seed)
     reports.append(onofri)
 
     poincare = poincare_constant(ops, spec.p, seed=spec.seed)
     reports.append(poincare)
 
-    bm = brezis_merle_check(spec.r, spec.delta, spec.samples, spec.seed, grid_n=grid_n)
+    bm = brezis_merle_check(spec.r, spec.delta, spec.samples, spec.seed, **grid)
     reports.append(bm)
 
     _write_json(outdir / "inequalities.json", [rep.as_dict() for rep in reports])
@@ -601,9 +591,9 @@ def _cmd_inequalities(spec: RunSpec, outdir: Path):
 
 
 def _cmd_disk(spec: RunSpec, outdir: Path):
-    grid_n = _or_default(spec.grid_n, 4096)
-    minimum = disk_min_dirichlet(spec.a, spec.b, spec.r, grid_n=grid_n)
-    gap = disk_floor_gap(spec.a, spec.b, spec.r, grid_n=grid_n)
+    grid = _given(grid_n=spec.grid_n)
+    minimum = disk_min_dirichlet(spec.a, spec.b, spec.r, **grid)
+    gap = disk_floor_gap(spec.a, spec.b, spec.r, **grid)
     artifacts = ["disk.json", "profile.csv"]
     _write_json(
         outdir / "disk.json",
@@ -611,7 +601,7 @@ def _cmd_disk(spec: RunSpec, outdir: Path):
             "a": spec.a,
             "b": spec.b,
             "r": spec.r,
-            "grid_n": grid_n,
+            "grid_n": gap.parameters["grid_n"],
             "value": minimum.value,
             "multiplier": minimum.multiplier,
             "residual": minimum.residual,

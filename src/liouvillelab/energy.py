@@ -8,12 +8,19 @@ cannot overflow.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .errors import DataError, ParameterError
-from .mesh import FOUR_PI, DiscreteOperators, ScalarField, dirichlet_energy, integrate
+from .mesh import (
+    FOUR_PI,
+    DiscreteOperators,
+    ScalarField,
+    _is_round,
+    dirichlet_energy,
+    integrate,
+)
 
 EIGHT_PI = 8.0 * np.pi
 
@@ -32,12 +39,7 @@ class EnergyBreakdown:
     total: float
 
     def as_dict(self) -> dict:
-        return {
-            "dirichlet": self.dirichlet,
-            "curvature_term": self.curvature_term,
-            "log_volume_term": self.log_volume_term,
-            "total": self.total,
-        }
+        return asdict(self)
 
 
 def _check_field(ops: DiscreteOperators, u: np.ndarray) -> np.ndarray:
@@ -126,7 +128,7 @@ def onofri_deficit(ops: DiscreteOperators, u: np.ndarray) -> float:
     nonnegative for smooth fields, zero exactly on the Moebius family.
     Requires a round background (zero conformal factor).
     """
-    if np.abs(ops.mesh.background_factor).max() > 1e-12:
+    if not _is_round(ops.mesh):
         raise ParameterError("deficit is defined on the round background only")
     u = _check_field(ops, u)
     return (

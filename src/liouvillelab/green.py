@@ -19,13 +19,13 @@ used as mesh-free oracles.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.integrate import IntegrationWarning, quad
 
-from .energy import EIGHT_PI
+from .energy import EIGHT_PI, _check_field
 from .errors import DataError, NumericError, ParameterError, ResolutionError
 from .mesh import (
     FOUR_PI,
@@ -72,13 +72,7 @@ class BubbleReport:
     rescaled_profile_error: float | None = None
 
     def as_dict(self) -> dict:
-        return {
-            "radius": self.radius,
-            "dirichlet_integral": self.dirichlet_integral,
-            "mass_integral": self.mass_integral,
-            "pde_residual_max": self.pde_residual_max,
-            "rescaled_profile_error": self.rescaled_profile_error,
-        }
+        return asdict(self)
 
 
 def solve_green(ops: DiscreteOperators, pole: int) -> GreenResult:
@@ -118,10 +112,10 @@ def extract_A(green: GreenResult, ops: DiscreteOperators) -> float:
     The annulus spans 4 to 8 mean edge lengths from the pole; the fit is
     mass-weighted least squares against a constant (the o(1) remainder is
     dropped and reported through fit_residual).  Updates the fields of
-    ``green`` in place and returns the constant.
+    ``green`` in place and returns the constant.  A field that does not
+    match the mesh or is not finite raises DataError.
     """
-    if green.field.shape != ops.mass.shape:
-        raise DataError("Green field does not match the mesh")
+    _check_field(ops, green.field)
     h = ops.mean_edge_length
     inner, outer = _ANNULUS_INNER * h, _ANNULUS_OUTER * h
     d = green.distances
@@ -276,9 +270,7 @@ def rescale_diagnostic(
     barycentric interpolation.  Reports the sup difference against phi0
     together with the closed-form B_R integrals.
     """
-    v = np.asarray(v, dtype=np.float64)
-    if v.shape != ops.mass.shape:
-        raise DataError("field length does not match the mesh")
+    v = _check_field(ops, v)
     if not np.isfinite(R) or R <= 0:
         raise ParameterError("R must be positive")
     if float(v.max() - v.min()) < 1e-8:
@@ -317,14 +309,7 @@ def rescale_diagnostic(
     pulled = sampled - 2.0 * np.log(tau)
     reference = np.concatenate([[0.0], _bubble_radial(rr.ravel())])
     profile_error = float(np.abs(pulled - reference).max())
-    base = bubble_checks(R)
-    return BubbleReport(
-        radius=float(R),
-        dirichlet_integral=base.dirichlet_integral,
-        mass_integral=base.mass_integral,
-        pde_residual_max=base.pde_residual_max,
-        rescaled_profile_error=profile_error,
-    )
+    return replace(bubble_checks(R), rescaled_profile_error=profile_error)
 
 
 def lower_bound_predictor(A: float) -> float:

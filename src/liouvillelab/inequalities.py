@@ -10,7 +10,7 @@ reported ``worst_seed``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 import scipy.linalg as sla
@@ -55,18 +55,42 @@ class InequalityReport:
     sample_margins: list = field(default_factory=list)
 
     def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "samples": self.samples,
-            "worst_margin": self.worst_margin,
-            "worst_seed": self.worst_seed,
-            "parameters": self.parameters,
-        }
+        """Every field but the per-sample rows, which go to CSV instead."""
+        summary = asdict(self)
+        del summary["sample_margins"]
+        return summary
 
 
 def sample_seed(seed: int, index: int) -> int:
     """Per-sample child seed: counter splitting with a fixed odd stride."""
     return int(seed) * _SEED_STRIDE + int(index)
+
+
+def _sampled_report(name, samples, seed, margin_of, parameters):
+    """Report of a suite whose sample i has margin margin_of(i, seed_i, rng).
+
+    seed_i is ``sample_seed(seed, i)`` and rng a fresh generator on it.  The
+    worst margin is the first smallest one.  A NaN margin raises
+    NumericError, since it compares false with every bound and would pass.
+    """
+    worst_margin, worst_seed = np.inf, sample_seed(seed, 0)
+    rows = []
+    for i in range(samples):
+        s_i = sample_seed(seed, i)
+        margin = margin_of(i, s_i, np.random.default_rng(s_i))
+        if np.isnan(margin):
+            raise NumericError(f"{name}: sample {i} (seed {s_i}) has a NaN margin")
+        rows.append((s_i, margin))
+        if margin < worst_margin:
+            worst_margin, worst_seed = margin, s_i
+    return InequalityReport(
+        name=name,
+        samples=samples,
+        worst_margin=float(worst_margin),
+        worst_seed=worst_seed,
+        parameters=parameters,
+        sample_margins=rows,
+    )
 
 
 def _radial_disk_field(rng, r, grid, modes, amplitude_scale):
@@ -103,36 +127,29 @@ def check_local_mt(
         raise ParameterError("r must be positive")
     if samples < 1:
         raise ParameterError("samples must be >= 1")
-    if epsilon < 0:
-        raise ParameterError("epsilon must be >= 0")
+    if not np.isfinite(epsilon) or epsilon < 0:
+        raise ParameterError("epsilon must be finite and >= 0")
+    if not np.isfinite(amplitude_scale):
+        raise ParameterError("amplitude_scale must be finite")
     grid = np.linspace(0.0, r, grid_n + 1)
     bound_const = np.log(np.pi * r * r) + 1.0
     coeff = 1.0 / SIXTEEN_PI + epsilon
-    worst_margin, worst_seed = np.inf, sample_seed(seed, 0)
-    rows = []
-    for i in range(samples):
-        s_i = sample_seed(seed, i)
-        rng = np.random.default_rng(s_i)
+
+    def margin_of(i, s_i, rng):
         u, du = _radial_disk_field(rng, r, grid, modes, amplitude_scale)
         dirichlet = 2.0 * np.pi * simpson(du * du * grid, x=grid)
         exp_int = 2.0 * np.pi * simpson(np.exp(u) * grid, x=grid)
-        margin = bound_const + coeff * dirichlet - np.log(exp_int)
-        rows.append((s_i, margin))
-        if margin < worst_margin:
-            worst_margin, worst_seed = margin, s_i
-    return InequalityReport(
-        name="local_exponential_bound",
-        samples=samples,
-        worst_margin=float(worst_margin),
-        worst_seed=worst_seed,
-        parameters={
-            "r": r,
-            "epsilon": epsilon,
-            "amplitude_scale": amplitude_scale,
-            "modes": modes,
-            "grid_n": grid_n,
-        },
-        sample_margins=rows,
+        return bound_const + coeff * dirichlet - np.log(exp_int)
+
+    parameters = {
+        "r": r,
+        "epsilon": epsilon,
+        "amplitude_scale": amplitude_scale,
+        "modes": modes,
+        "grid_n": grid_n,
+    }
+    return _sampled_report(
+        "local_exponential_bound", samples, seed, margin_of, parameters
     )
 
 
@@ -294,11 +311,8 @@ def onofri_suite(
         raise ParameterError("samples must be >= 1")
     if amplitude_max <= 0 or dilation_max < 1:
         raise ParameterError("amplitude_max must be > 0 and dilation_max >= 1")
-    rows = []
-    worst_margin, worst_seed = np.inf, sample_seed(seed, 0)
-    for i in range(samples):
-        s_i = sample_seed(seed, i)
-        rng = np.random.default_rng(s_i)
+
+    def margin_of(i, s_i, rng):
         if i == 0:
             u = np.zeros(ops.mass.shape)
         elif i % 2 == 0:
@@ -308,21 +322,10 @@ def onofri_suite(
             bands = int(rng.integers(2, 10))
             amp = float(rng.uniform(0.1, amplitude_max))
             u = random_band_field(ops.mesh, s_i, bands, amp)
-        margin = onofri_deficit(ops, u)
-        rows.append((s_i, margin))
-        if margin < worst_margin:
-            worst_margin, worst_seed = margin, s_i
-    return InequalityReport(
-        name="onofri_deficit",
-        samples=samples,
-        worst_margin=float(worst_margin),
-        worst_seed=worst_seed,
-        parameters={
-            "amplitude_max": amplitude_max,
-            "dilation_max": dilation_max,
-        },
-        sample_margins=rows,
-    )
+        return onofri_deficit(ops, u)
+
+    parameters = {"amplitude_max": amplitude_max, "dilation_max": dilation_max}
+    return _sampled_report("onofri_deficit", samples, seed, margin_of, parameters)
 
 
 def poincare_constant(
@@ -460,12 +463,9 @@ def brezis_merle_check(
     reference = np.exp(-(grid**2) / (2.0 * (r / 2.0) ** 2))
     guard, _ = _radial_poisson_exp_integral(grid, reference, delta)
     guard *= 10.0
-    worst_margin, worst_seed = np.inf, sample_seed(seed, 0)
-    max_integral = -np.inf
-    rows = []
-    for i in range(samples):
-        s_i = sample_seed(seed, i)
-        rng = np.random.default_rng(s_i)
+    integrals = []
+
+    def margin_of(i, s_i, rng):
         kind = i % 3
         if kind == 0:
             sigma = widths[i // 3 % len(widths)]
@@ -480,22 +480,10 @@ def brezis_merle_check(
                 0.3, 1.0
             ) * np.exp(-(grid**2) / (2 * s2 * s2))
         integral, _ = _radial_poisson_exp_integral(grid, f_values, delta)
-        max_integral = max(max_integral, integral)
-        margin = guard - integral
-        rows.append((s_i, margin))
-        if margin < worst_margin:
-            worst_margin, worst_seed = margin, s_i
-    return InequalityReport(
-        name="exp_integrability",
-        samples=samples,
-        worst_margin=float(worst_margin),
-        worst_seed=worst_seed,
-        parameters={
-            "r": r,
-            "delta": delta,
-            "grid_n": grid_n,
-            "guard": float(guard),
-            "max_integral": float(max_integral),
-        },
-        sample_margins=rows,
-    )
+        integrals.append(integral)
+        return guard - integral
+
+    parameters = {"r": r, "delta": delta, "grid_n": grid_n, "guard": float(guard)}
+    report = _sampled_report("exp_integrability", samples, seed, margin_of, parameters)
+    report.parameters["max_integral"] = float(max(integrals))
+    return report

@@ -574,6 +574,11 @@ def mobius_dilation_factor(mesh: TriangulatedSphere, lam: float) -> ScalarField:
     return 2.0 * np.log(2.0 * lam) - 2.0 * np.log((1.0 - x3) + lam * lam * (1.0 + x3))
 
 
+def _is_round(mesh: TriangulatedSphere) -> bool:
+    """Whether the background is the round metric (max |phi| <= 1e-12)."""
+    return bool(np.abs(mesh.background_factor).max() <= 1e-12)
+
+
 def geodesic_distances(
     ops: DiscreteOperators, source: int
 ) -> tuple[np.ndarray, bool]:
@@ -590,11 +595,10 @@ def geodesic_distances(
     mesh = ops.mesh
     if not 0 <= source < mesh.num_vertices:
         raise ParameterError("source vertex out of range")
-    phi = mesh.background_factor
-    if np.abs(phi).max() <= 1e-12:
+    if _is_round(mesh):
         dots = mesh.vertices @ mesh.vertices[source]
         return np.arccos(np.clip(dots, -1.0, 1.0)), True
-    return _fast_march(mesh, phi, source), False
+    return _fast_march(mesh, mesh.background_factor, source), False
 
 
 def _fmm_face_update(t_a, t_b, len_bc, len_ac, len_ab):

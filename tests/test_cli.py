@@ -11,7 +11,13 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
-from liouvillelab import cli
+from liouvillelab import (
+    SolverConfig,
+    assemble_operators,
+    cli,
+    onofri_suite,
+    read_off_mesh,
+)
 from liouvillelab.errors import NumericError
 
 LN_FOUR_PI = np.log(4.0 * np.pi)
@@ -217,6 +223,22 @@ class TestSingleCommands:
         margins = list(tmp_path.glob("margins_*.csv"))
         assert len(margins) >= 7
 
+    def test_onofri_suite_runs_on_the_loaded_mesh(self, tmp_path):
+        # A bumpy background is removed from the loaded mesh, not replaced
+        # by a --level icosphere.
+        assert run(["mesh-info", "--level", 2, "--out", tmp_path / "mesh"]) == 0
+        mesh_file = tmp_path / "mesh" / "mesh.off"
+        code = run(
+            ["inequalities", "--mesh-file", mesh_file, "--metric-amp", 0.2,
+             "--level", 1, "--samples", 6, "--trials", 1, "--out", tmp_path,
+             "--no-plots"]
+        )
+        assert code == 0
+        reports = json.loads((tmp_path / "inequalities.json").read_text())
+        (onofri,) = [r for r in reports if r["name"] == "onofri_deficit"]
+        ops = assemble_operators(read_off_mesh(mesh_file))
+        assert onofri == onofri_suite(ops, 6, 0).as_dict()
+
 
 class TestConfigFile:
     def test_config_supplies_defaults(self, tmp_path, capsys):
@@ -386,6 +408,17 @@ class TestExitCodes:
         assert "Matrix is exactly singular" in lines[0]
         assert proc.stderr == lines[0] + "\n"
 
+    def test_newton_overflow_stderr_is_one_typed_line(self, tmp_path):
+        # Overflowing Newton trials are rejected without numpy warnings.
+        proc = run_module(
+            ["mean-field", "--level", 2, "--eps", 0.5, "--metric-amp", 0.2,
+             "--amp", 0.1, "--out", tmp_path]
+        )
+        assert proc.returncode == 3
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("ConvergenceError in solver.solve_mean_field: ")
+
     def test_eigensolver_failure_maps_to_four(self, tmp_path, capsys, monkeypatch):
         def no_convergence(*args, **kwargs):
             raise spla.ArpackNoConvergence("synthetic", np.empty(0), np.empty((0, 0)))
@@ -432,3 +465,30 @@ class TestOptionTable:
         ns = cli._build_parser().parse_args(["flow"])
         assert cli._resolve(ns, None) == cli.RunSpec(command="flow")
         assert cli.RunSpec(command="flow").output_dir == "runs/flow"
+
+    def test_command_choices_are_the_handlers(self):
+        (command,) = [
+            a for a in cli._build_parser()._actions if a.dest == "command"
+        ]
+        assert list(command.choices) == list(cli._HANDLERS)
+
+    def test_unset_solver_options_take_library_defaults(self, tmp_path, monkeypatch):
+        seen = {}
+
+        class Stop(Exception):
+            pass
+
+        def record(name):
+            def fake(*args, **kwargs):
+                seen[name] = (args, kwargs)
+                raise Stop
+
+            return fake
+
+        monkeypatch.setattr(cli, "minimize_perturbed", record("minimize"))
+        monkeypatch.setattr(cli, "solve_mean_field", record("mean-field"))
+        for command in ("minimize", "mean-field"):
+            with pytest.raises(Stop):
+                run([command, "--level", 1, "--eps", 0.5, "--out", tmp_path])
+        assert seen["minimize"][0][1] == SolverConfig(epsilon=0.5)
+        assert set(seen["mean-field"][1]) == {"initial"}

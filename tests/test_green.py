@@ -99,6 +99,12 @@ class TestBumpyGreen:
 
 
 class TestGreenValidation:
+    def test_non_finite_field_is_data_error(self, ops4):
+        green = L.solve_green(ops4, 0)
+        green.field[5] = np.nan
+        with pytest.raises(DataError):
+            L.extract_A(green, ops4)
+
     def test_coarse_mesh_rejected(self):
         ops = L.assemble_operators(L.build_icosphere(1))
         with pytest.raises(ResolutionError):
@@ -204,6 +210,12 @@ def _pullback_field(ops, tau, source=0):
 
 
 class TestRescaleDiagnostic:
+    def test_non_finite_field_is_data_error(self, ops4):
+        v = _pullback_field(ops4, 4.0)
+        v[7] = np.nan
+        with pytest.raises(DataError):
+            L.rescale_diagnostic(v, ops4, 1.0)
+
     def test_synthetic_concentration(self, ops4):
         v = _pullback_field(ops4, 4.0)
         report = L.rescale_diagnostic(v, ops4, 1.0)

@@ -7,6 +7,7 @@ import scipy.sparse.linalg as spla
 from scipy.integrate import simpson
 
 import liouvillelab as L
+from liouvillelab import inequalities
 from liouvillelab.errors import NumericError, ParameterError
 from liouvillelab.inequalities import (
     InequalityReport,
@@ -65,13 +66,21 @@ class TestLocalBound:
             {"r": np.inf},
             {"samples": 0},
             {"epsilon": -0.1},
+            {"epsilon": np.nan},
+            {"epsilon": np.inf},
+            {"amplitude_scale": np.nan},
+            {"amplitude_scale": np.inf},
         ],
     )
     def test_parameter_rejection(self, kwargs):
         full = {"r": 1.0, "samples": 5, "seed": 0, **kwargs}
         with pytest.raises(ParameterError):
-            check_local_mt(full["r"], full["samples"], full["seed"],
-                           epsilon=full.get("epsilon", 0.0))
+            check_local_mt(**full)
+
+    def test_nan_margin_is_numeric_failure(self):
+        # e^u overflows, so every margin is inf - inf; NaN must not pass.
+        with np.errstate(all="ignore"), pytest.raises(NumericError, match="NaN"):
+            check_local_mt(1.0, 5, 0, amplitude_scale=1e160)
 
 
 class TestDiskGap:
@@ -127,6 +136,11 @@ class TestGlobalBound:
 
 
 class TestOnofriSuite:
+    def test_nan_deficit_is_numeric_failure(self, ops2, monkeypatch):
+        monkeypatch.setattr(inequalities, "onofri_deficit", lambda ops, u: np.nan)
+        with pytest.raises(NumericError, match="onofri_deficit"):
+            onofri_suite(ops2, 3, 0)
+
     def test_zero_field_margin_vanishes(self, ops3):
         rep = onofri_suite(ops3, 5, 5)
         assert abs(rep.sample_margins[0][1]) < 1e-12
