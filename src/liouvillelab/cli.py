@@ -143,6 +143,11 @@ class RunSpec:
             raise ParameterError("at least one epsilon value is required")
         for eps in self.epsilons:
             _check_epsilon(eps)
+        for f in fields(self):
+            # The manifest records every option, and JSON has no NaN or inf.
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not np.isfinite(value):
+                raise ParameterError(f"--{f.metadata['key']} must be finite, got {value}")
         if self.output_dir is None:
             object.__setattr__(self, "output_dir", str(Path("runs") / self.command))
 
@@ -267,14 +272,13 @@ def _write_csv(path: Path, header: str, rows) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="ascii")
 
 
-def _write_trace_csv(path: Path, rows, polish_steps: int) -> None:
-    # Polish rows duplicate their residual into el_residual; descent rows
-    # leave it empty (the residual is not evaluated during descent).
-    out = []
-    first_polish = len(rows) - polish_steps
-    for i, (step, energy, grad_norm) in enumerate(rows):
-        tail = _g17(grad_norm) if i >= first_polish else ""
-        out.append((int(step), _g17(energy), _g17(grad_norm), tail))
+def _write_trace_csv(path: Path, rows) -> None:
+    # Every row's norm is an Euler-Lagrange residual: the mean-field Newton
+    # residual, or the minimizer's gradient norm at u, which equals the
+    # residual at the unit-volume shift of u.
+    out = [
+        (int(step), _g17(energy), _g17(norm), _g17(norm)) for step, energy, norm in rows
+    ]
     _write_csv(path, "step,energy,grad_norm,el_residual", out)
 
 
@@ -311,7 +315,7 @@ def _cmd_minimize(spec: RunSpec, outdir: Path):
     artifacts = ["u_min.csv", "v_field.csv", "trace.csv", "result.json"]
     write_field_csv(outdir / "u_min.csv", result.u_min)
     write_field_csv(outdir / "v_field.csv", result.v_field)
-    _write_trace_csv(outdir / "trace.csv", result.iterations, result.polish_steps)
+    _write_trace_csv(outdir / "trace.csv", result.iterations)
     _write_json(outdir / "result.json", _result_json(ops, result))
     if spec.plots:
         steps = [row[0] for row in result.iterations]
@@ -389,7 +393,7 @@ def _cmd_mean_field(spec: RunSpec, outdir: Path):
     )
     artifacts = ["v_field.csv", "trace.csv", "result.json"]
     write_field_csv(outdir / "v_field.csv", result.v_field)
-    _write_trace_csv(outdir / "trace.csv", result.iterations, result.polish_steps)
+    _write_trace_csv(outdir / "trace.csv", result.iterations)
     _write_json(outdir / "result.json", _result_json(ops, result))
     if spec.plots:
         steps = [row[0] for row in result.iterations]

@@ -63,6 +63,8 @@ class InequalityReport:
 
 def sample_seed(seed: int, index: int) -> int:
     """Per-sample child seed: counter splitting with a fixed odd stride."""
+    if seed < 0:  # numpy's generators take no negative seed
+        raise ParameterError(f"seed must be >= 0, got {seed}")
     return int(seed) * _SEED_STRIDE + int(index)
 
 
@@ -131,6 +133,8 @@ def check_local_mt(
         raise ParameterError("epsilon must be finite and >= 0")
     if not np.isfinite(amplitude_scale):
         raise ParameterError("amplitude_scale must be finite")
+    if grid_n < 256:  # 0 or 1 cells gave +inf margins; disk_min_dirichlet's floor
+        raise ParameterError("grid_n must be >= 256")
     grid = np.linspace(0.0, r, grid_n + 1)
     bound_const = np.log(np.pi * r * r) + 1.0
     coeff = 1.0 / SIXTEEN_PI + epsilon
@@ -457,6 +461,8 @@ def brezis_merle_check(
         raise ParameterError("delta must lie in (0, 4*pi)")
     if samples < 1:
         raise ParameterError("samples must be >= 1")
+    if grid_n < 256:
+        raise ParameterError("grid_n must be >= 256")
     grid = np.linspace(0.0, r, grid_n + 1)
     h = r / grid_n
     widths = np.geomspace(r / 2.0, 4.0 * h, num=max(8, min(64, samples)))

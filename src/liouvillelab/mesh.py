@@ -382,11 +382,13 @@ def assemble_operators(mesh: TriangulatedSphere) -> DiscreteOperators:
     """
     core = _geometric_core(mesh)
     phi = mesh.background_factor
-    exp_phi = np.exp(phi)
-    mass = exp_phi * core.round_mass
-    curvature = np.exp(-phi) * (
-        1.0 + (core.stiffness @ phi) / (2.0 * core.round_mass)
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        mass = np.exp(phi) * core.round_mass
+        curvature = np.exp(-phi) * (
+            1.0 + (core.stiffness @ phi) / (2.0 * core.round_mass)
+        )
+    if not (mass.min() > 0 and np.isfinite(mass).all() and np.isfinite(curvature).all()):
+        raise DataError("background factor is beyond the floating-point range of exp")
     return DiscreteOperators(
         mesh=mesh,
         stiffness=core.stiffness,
@@ -543,6 +545,8 @@ def random_band_field(
     """
     if bands < 1:
         raise ParameterError("bands must be >= 1")
+    if seed < 0:  # numpy's generators take no negative seed
+        raise ParameterError(f"seed must be >= 0, got {seed}")
     if amplitude < 0:
         raise ParameterError("amplitude must be >= 0")
     _, basis = _round_eigenbasis(mesh, bands)

@@ -20,7 +20,7 @@ from .errors import ConvergenceError, DataError, NumericError, ParameterError
 from .mesh import FOUR_PI, DiscreteOperators, ScalarField, _factor, _solve, integrate
 
 _STEP_FLOOR = 2.0**-30
-_DESCENT_CAP = 1000  # H1 descent steps before the Newton polish takes over
+_H1_STEPS = 3  # H1 steps before the first Newton try and after a rejected one
 _LINE_SEARCH_SHRINK = 0.5
 _SUFFICIENT_DECREASE = 1e-4  # Armijo constant
 
@@ -31,7 +31,7 @@ class SolverConfig:
 
     gradient_tolerance is the mass-norm stopping threshold, relative to
     max(1, |energy|) for the minimizer and to 8*pi for the mean-field
-    residual.  max_iterations caps every step the solver takes: descent and
+    residual.  max_iterations caps every step the solver takes: H1 and
     Newton steps together for the minimizer, Newton steps for the mean-field
     solve.
     """
@@ -55,8 +55,11 @@ class MinimizerResult:
     u_min satisfies the zero-mean curvature pairing constraint; v_field is
     the same critical point normalized to unit exponential volume, so it
     solves the mean-field equation.  iterations holds (step, energy,
-    gradient_norm) rows; the last polish_steps of them come from the Newton
-    phase, whose gradient_norm column is the Euler-Lagrange residual.
+    gradient_norm) rows, one for the start and one per step; every
+    gradient_norm is a mass-norm Euler-Lagrange residual (for the minimizer,
+    at the unit-volume shift of the row's iterate).  polish_steps is the
+    number of Newton steps among them; the name is kept for the artifacts
+    that read it.
     """
 
     epsilon: float
@@ -98,8 +101,18 @@ def _el_residual(ops, v, epsilon):
     )
 
 
-def _newton_mean_field(ops, epsilon, v0, tolerance, max_iterations,
-                       floor_tolerance=0.0):
+def _newton_direction(ops, epsilon, u, grad):
+    # Newton step of the Euler-Lagrange equation at v = u - log_volume(u),
+    # where its residual is grad; None when the solve fails.
+    v = u - log_volume(ops, u)
+    jac = ops.stiffness - sp.diags((EIGHT_PI - epsilon) * np.exp(v) * ops.mass)
+    try:
+        return _solve(jac, -(grad * ops.mass), "minimizer Newton step")
+    except NumericError:
+        return None
+
+
+def _newton_mean_field(ops, epsilon, v0, tolerance, max_iterations):
     """Damped Newton iteration on the mean-field residual.
 
     Steps are accepted on residual decrease (the Jacobian is indefinite, so
@@ -111,8 +124,7 @@ def _newton_mean_field(ops, epsilon, v0, tolerance, max_iterations,
     The regularization decays to zero on full steps, restoring the
     quadratic tail.  Returns (v, trace) where trace rows are (iteration,
     energy, residual_norm).  Raises NumericError if the damping floor is
-    hit above floor_tolerance, ConvergenceError if the iteration budget
-    runs out.
+    hit, ConvergenceError if the iteration budget runs out.
     """
     beta = EIGHT_PI - epsilon
 
@@ -148,8 +160,6 @@ def _newton_mean_field(ops, epsilon, v0, tolerance, max_iterations,
                 break
             damping *= 0.5
         else:
-            if res_norm <= floor_tolerance:
-                return v, trace  # roundoff plateau, good enough for caller
             if lam < lam_cap:
                 lam = min(max(10.0 * lam, lam_floor), lam_cap)
                 continue  # retry this iterate with a stiffer system
@@ -199,21 +209,14 @@ def solve_mean_field(
         ops, epsilon, v0, tolerance * EIGHT_PI, max_iterations
     )
     v = v - log_volume(ops, v)  # re-center; drift is at roundoff level
-    return _package_result(ops, config, v, trace_rows=None, newton_trace=trace)
+    return _package_result(ops, config, v, trace, len(trace) - 1)
 
 
-def _package_result(ops, config, v, trace_rows, newton_trace):
+def _package_result(ops, config, v, rows, newton_steps):
     u = project_constraint(ops, v)
     breakdown = perturbed_functional(ops, u, config.epsilon)
     residual = mass_norm(ops, _el_residual(ops, v, config.epsilon))
     peak = int(np.argmax(v))
-    rows = list(trace_rows) if trace_rows else []
-    offset = rows[-1][0] + 1 if rows else 0
-    polish = 0
-    if newton_trace is not None:
-        for it, en, res in newton_trace:
-            rows.append((offset + it, en, res))
-            polish += 1
     return MinimizerResult(
         epsilon=config.epsilon,
         u_min=u,
@@ -223,29 +226,29 @@ def _package_result(ops, config, v, trace_rows, newton_trace):
         peak_value=float(v[peak]),
         peak_vertex=peak,
         iterations=rows,
-        polish_steps=polish,
+        polish_steps=newton_steps,
     )
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflowing trial fails its test
 def minimize_perturbed(
     ops: DiscreteOperators, config: SolverConfig, initial: np.ndarray | None = None
 ) -> MinimizerResult:
     """Minimize the perturbed functional over the zero-pairing hyperplane.
 
-    One path: projected gradient descent with Armijo backtracking drives the
-    iterate into a basin, then one Newton polish on the Euler-Lagrange
-    equation finishes to the gradient tolerance.  The descent direction is
-    the gradient in the H1 inner product (preconditioned by stiffness plus
-    mass), which keeps the near-flat conformal valley of the functional
-    tractable at small epsilon.  Descent hands off to the polish once the
-    gradient norm drops below max(tolerance, min(1e-2, 1e-3 * initial
-    norm)), after min(1000, max_iterations) steps, or when the line search
-    reaches the roundoff floor; the polish gets the rest of max_iterations,
-    at most 100 steps.  The energy column of the iteration trace is
-    nonincreasing up to a 1e-11 relative slack (the polish is
-    residual-monotone, not energy-monotone).  Raises ConvergenceError with
-    the best iterate attached if the final gradient norm misses the
-    tolerance.
+    One loop with the energy as merit function.  From the fourth step on,
+    each step first tries Newton on the Euler-Lagrange equation (Jacobian
+    S - diag(beta exp(v) mass) at the unit-volume shift v), which moves
+    along the three near-null conformal modes where gradient steps crawl
+    at small epsilon; it is taken when Armijo backtracking on the energy
+    accepts it.  Otherwise, and for 3 steps after a rejected try, the step
+    is H1 gradient descent (preconditioned by stiffness plus mass) with
+    Armijo backtracking.  Trial points are projected onto the hyperplane;
+    max_iterations caps all steps, and the trace's energies never rise.
+    Raises ConvergenceError with the best iterate attached if the
+    gradient norm misses the tolerance when the budget is spent or the
+    energy reaches its roundoff floor, NumericError if the functional
+    overflows at the start.
     """
     if initial is None:
         initial = np.zeros(ops.mass.shape)
@@ -256,56 +259,52 @@ def minimize_perturbed(
     energy = perturbed_functional(ops, u, config.epsilon).total
     grad = perturbed_gradient(ops, u, config.epsilon)
     grad_norm = mass_norm(ops, grad)
+    if not np.isfinite(energy + grad_norm):
+        raise NumericError("the functional overflows at the initial field")
     rows = [(0, energy, grad_norm)]
     precond = _factor(ops.stiffness + sp.diags(ops.mass), "H1 preconditioner")
-    handoff = max(
-        config.gradient_tolerance * max(1.0, abs(energy)),
-        min(1e-2, 1e-3 * grad_norm),
-    )
-    step = 1.0
-    iteration = 0
-    while iteration < min(_DESCENT_CAP, config.max_iterations) and grad_norm > handoff:
-        direction = precond(grad * ops.mass)
-        slope = float((direction * grad) @ ops.mass)
-        step = min(step * 2.0, 16.0)
-        decrease = _SUFFICIENT_DECREASE * slope
-        with np.errstate(over="ignore", invalid="ignore"):
-            while step >= _STEP_FLOOR:
-                u_try = project_constraint(ops, u - step * direction)
+    h1_step = 1.0
+    newton_steps = rejected = 0  # rejected: last step whose Newton try failed
+    for iteration in range(1, config.max_iterations + 1):
+        # 0.5 * tolerance is below every final threshold; a roundoff plateau
+        # above it ends the loop below, and the final check decides.
+        if grad_norm <= 0.5 * config.gradient_tolerance:
+            break
+        for newton in (True, False) if iteration > rejected + _H1_STEPS else (False,):
+            if newton:
+                direction, step = _newton_direction(ops, config.epsilon, u, grad), 1.0
+            else:
+                direction = -precond(grad * ops.mass)
+                step = min(h1_step * 2.0, 16.0)
+            slope = 0.0 if direction is None else float((direction * grad) @ ops.mass)
+            while slope < 0.0 and step >= _STEP_FLOOR:  # descent directions only
+                u_try = project_constraint(ops, u + step * direction)
                 energy_try = perturbed_functional(ops, u_try, config.epsilon).total
-                if energy_try <= energy - step * decrease:
+                if energy_try <= energy + step * _SUFFICIENT_DECREASE * slope:
                     break
                 step *= _LINE_SEARCH_SHRINK
             else:
-                break  # energy is at the roundoff floor; let the polish decide
+                rejected = iteration
+                continue  # fall back to the H1 direction
+            break
+        else:
+            break  # energy is at the roundoff floor
+        newton_steps += newton
+        h1_step = h1_step if newton else step
+        previous = energy, grad_norm
         u, energy = u_try, energy_try
         grad = perturbed_gradient(ops, u, config.epsilon)
         grad_norm = mass_norm(ops, grad)
-        iteration += 1
         rows.append((iteration, energy, grad_norm))
+        if energy >= previous[0] and grad_norm >= previous[1]:
+            break  # roundoff plateau: the step gained nothing
 
     v = u - log_volume(ops, u)
-    try:
-        # 0.5 * tolerance is below every possible final threshold; a
-        # roundoff plateau under the plain tolerance is still fine because
-        # the final check below has the last word.
-        v, newton_trace = _newton_mean_field(
-            ops, config.epsilon, v, 0.5 * config.gradient_tolerance,
-            min(config.max_iterations - iteration, 100),
-            floor_tolerance=config.gradient_tolerance,
-        )
-    except ConvergenceError as exc:
-        v, newton_trace = exc.best, exc.trace
-    except NumericError:
-        newton_trace = None  # the polish broke down; keep the descent iterate
-    if newton_trace is not None:
-        v = v - log_volume(ops, v)
-    result = _package_result(ops, config, v, rows, newton_trace)
-
+    result = _package_result(ops, config, v, rows, newton_steps)
     tolerance = config.gradient_tolerance * max(1.0, abs(result.energy))
     final_grad = perturbed_gradient(ops, result.u_min, config.epsilon)
     final_norm = mass_norm(ops, final_grad)
-    if final_norm > tolerance:
+    if not final_norm <= tolerance:  # also catches NaN
         raise ConvergenceError(
             f"gradient norm {final_norm:.3e} above tolerance {tolerance:.3e}",
             best=result,

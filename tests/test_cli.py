@@ -360,6 +360,20 @@ class TestExitCodes:
         assert "ParameterError" in capsys.readouterr().err
         assert not (tmp_path / "run_manifest.json").exists()
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            # --amp is unused here; the run used to finish and then exit 4
+            # on the manifest, which records every option.
+            ["inequalities", "--level", 1, "--samples", 3, "--trials", 1, "--amp", "inf"],
+            ["mesh-info", "--level", 1, "--R", "nan"],
+        ],
+    )
+    def test_non_finite_option_is_refused_before_work(self, tmp_path, capsys, args):
+        assert run(args + ["--out", tmp_path]) == 2
+        assert "must be finite" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
     def test_non_finite_json_is_numeric_failure(self, tmp_path, capsys):
         # pi R^2 overflows, so bubble_checks refuses before any artifact.
         assert run(["bubble", "--R", 1e200, "--out", tmp_path]) == 4

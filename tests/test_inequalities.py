@@ -70,6 +70,9 @@ class TestLocalBound:
             {"epsilon": np.inf},
             {"amplitude_scale": np.nan},
             {"amplitude_scale": np.inf},
+            {"grid_n": 0},
+            {"grid_n": 1},
+            {"grid_n": 255},
         ],
     )
     def test_parameter_rejection(self, kwargs):
@@ -248,12 +251,15 @@ class TestExpIntegrability:
             {"delta": 4.0 * np.pi},
             {"delta": -1.0},
             {"samples": 0},
+            {"grid_n": 0},
+            {"grid_n": 255},
+            {"seed": -1},
         ],
     )
     def test_parameter_rejection(self, kwargs):
         full = {"r": 1.0, "delta": np.pi, "samples": 4, "seed": 0, **kwargs}
         with pytest.raises(ParameterError):
-            brezis_merle_check(full["r"], full["delta"], full["samples"], full["seed"])
+            brezis_merle_check(**full)
 
 
 class TestReportContract:

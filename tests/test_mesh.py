@@ -159,6 +159,17 @@ def test_band_field_rejects_bad_parameters(ops2):
         random_band_field(ops2.mesh, 0, 0, 1.0)
     with pytest.raises(ParameterError):
         random_band_field(ops2.mesh, 0, 4, -0.1)
+    with pytest.raises(ParameterError, match="seed"):
+        random_band_field(ops2.mesh, -1, 4, 0.1)
+
+
+@pytest.mark.filterwarnings("error")
+def test_background_beyond_exp_range_is_data_error():
+    # Finite, but exp(phi) overflows: the metric masses would be inf and 0.
+    mesh = build_icosphere(1)
+    phi = random_band_field(mesh, 0, 4, 1e300)
+    with pytest.raises(DataError, match="range of exp"):
+        assemble_operators(set_conformal_background(mesh, phi, normalize=True))
 
 
 def test_mobius_factor_identity_and_volume(ops4):

@@ -104,6 +104,23 @@ def test_failed_solve_is_numeric_error_at_public_entry(ops2, monkeypatch, site, 
         assert (calls[1] != calls[0]).nnz > 0
 
 
+@pytest.mark.parametrize("kind", ["raise", "nan"])
+def test_failed_minimizer_newton_solve_falls_back_to_h1(ops2, monkeypatch, kind):
+    # The minimizer_newton site: a failed Newton solve only rejects that
+    # direction, and every step becomes an H1 step.  H1 alone crawls along
+    # the conformal modes, so the budget runs out: ConvergenceError, never a
+    # NumericError naming the Newton system.
+    calls = _patch_spsolve(monkeypatch, kind, 0)
+    config = L.SolverConfig(epsilon=0.5, max_iterations=100)
+    with pytest.raises(L.ConvergenceError) as info:
+        L.minimize_perturbed(ops2, config, _band(ops2))
+    assert len(calls) > 1  # Newton was retried after the failure
+    assert info.value.best.polish_steps == 0
+    energies = [row[1] for row in info.value.trace]
+    assert len(energies) == config.max_iterations + 1
+    assert all(b <= a for a, b in zip(energies, energies[1:]))
+
+
 def _singular(ops):
     return dataclasses.replace(ops, stiffness=0 * ops.stiffness)
 

@@ -8,6 +8,7 @@ from liouvillelab import (
     ConvergenceError,
     DataError,
     MinimizerResult,
+    NumericError,
     ParameterError,
     SolverConfig,
     assemble_operators,
@@ -162,6 +163,14 @@ def test_minimizer_rejects_bad_initial(ops2):
         minimize_perturbed(ops2, SolverConfig(epsilon=0.5), bad)
 
 
+@pytest.mark.filterwarnings("error")
+def test_overflowing_start_is_numeric_error(ops2):
+    # Finite entries whose energy overflows; the loop must not start on inf.
+    huge = random_band_field(ops2.mesh, 0, 4, 1e300)
+    with pytest.raises(NumericError, match="overflows"):
+        minimize_perturbed(ops2, SolverConfig(epsilon=0.5), huge)
+
+
 def test_warm_start_sweep_monotone_in_epsilon(bumpy3):
     # Continuation in epsilon: energies decrease as the perturbation shrinks.
     energies = []
@@ -171,6 +180,23 @@ def test_warm_start_sweep_monotone_in_epsilon(bumpy3):
         energies.append(result.energy)
         init = result.u_min
     assert energies[0] > energies[1] > energies[2]
+
+
+def test_band_sweep_takes_newton_steps_from_the_start():
+    # The benchmark's band background at level 4.  H1 descent alone cannot
+    # move along the near-null conformal modes and needed about 1000 steps
+    # per stage at eps <= 0.25; Newton steps finish each stage in a few.
+    mesh = build_icosphere(4)
+    phi = random_band_field(mesh, 7, 8, 0.3)
+    ops = assemble_operators(set_conformal_background(mesh, phi, normalize=True))
+    expected = (-64.35393395602412, -65.0384811491466, -65.44970245604593)
+    init = None
+    for epsilon, energy in zip((0.5, 0.25, 0.1), expected):
+        result = minimize_perturbed(ops, SolverConfig(epsilon=epsilon), init)
+        assert abs(result.energy - energy) <= 1e-9, epsilon
+        assert len(result.iterations) <= 30, epsilon
+        assert result.polish_steps >= 1
+        init = result.u_min
 
 
 # ---------------------------------------------------------------- mean field
