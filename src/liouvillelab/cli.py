@@ -38,6 +38,7 @@ from .green import (
 )
 from .inequalities import (
     _SEED_STRIDE,
+    _disk_gap,
     brezis_merle_check,
     check_global_mt,
     check_local_mt,
@@ -272,14 +273,36 @@ def _write_csv(path: Path, header: str, rows) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="ascii")
 
 
-def _write_trace_csv(path: Path, rows) -> None:
-    # Every row's norm is an Euler-Lagrange residual: the mean-field Newton
-    # residual, or the minimizer's gradient norm at u, which equals the
-    # residual at the unit-volume shift of u.
-    out = [
-        (int(step), _g17(energy), _g17(norm), _g17(norm)) for step, energy, norm in rows
-    ]
-    _write_csv(path, "step,energy,grad_norm,el_residual", out)
+class _Artifacts:
+    """The run's output directory, recording the name of each file written.
+
+    One method per file kind; ``plot`` writes nothing when plots are off.
+    ``names`` becomes the manifest's artifact list.
+    """
+
+    def __init__(self, outdir: Path, plots: bool):
+        outdir.mkdir(parents=True, exist_ok=True)
+        self.outdir, self.plots, self.names = outdir, plots, []
+
+    def _path(self, name: str) -> Path:
+        self.names.append(name)
+        return self.outdir / name
+
+    def json(self, name, obj):
+        _write_json(self._path(name), obj)
+
+    def csv(self, name, header, rows):
+        _write_csv(self._path(name), header, rows)
+
+    def field(self, name, values):
+        write_field_csv(self._path(name), values)
+
+    def mesh(self, name, mesh):
+        write_off_mesh(self._path(name), mesh)
+
+    def plot(self, name, series, **labels):
+        if self.plots:
+            write_line_plot(self._path(name), series, **labels)
 
 
 def _result_json(ops, result) -> dict:
@@ -298,6 +321,29 @@ def _result_json(ops, result) -> dict:
     }
 
 
+def _write_result(out: _Artifacts, ops, result, figure, series, column, **labels):
+    """v_field.csv, trace.csv and result.json, then the trace figure.
+
+    The figure plots trace column ``column`` (1 energy, 2 residual) against
+    the step.  Every trace row's norm is an Euler-Lagrange residual: the
+    mean-field Newton residual, or the minimizer's gradient norm at u, which
+    equals the residual at the unit-volume shift of u.
+    """
+    rows = result.iterations
+    out.field("v_field.csv", result.v_field)
+    out.csv(
+        "trace.csv",
+        "step,energy,grad_norm,el_residual",
+        [(int(step), _g17(e), _g17(norm), _g17(norm)) for step, e, norm in rows],
+    )
+    out.json("result.json", _result_json(ops, result))
+    steps = [row[0] for row in rows]
+    out.plot(
+        figure, {series: (steps, [row[column] for row in rows])},
+        xlabel="iteration", **labels,
+    )
+
+
 def _solver_config(spec: RunSpec, eps: float) -> SolverConfig:
     return SolverConfig(
         epsilon=eps,
@@ -307,121 +353,84 @@ def _solver_config(spec: RunSpec, eps: float) -> SolverConfig:
     )
 
 
-def _cmd_minimize(spec: RunSpec, outdir: Path):
+def _cmd_minimize(spec: RunSpec, out: _Artifacts):
     config = _solver_config(spec, spec.epsilons[0])
     ops = _operators(spec)
     initial = _initial_field(spec, ops, default_amplitude=0.0)
     result = minimize_perturbed(ops, config, initial)
-    artifacts = ["u_min.csv", "v_field.csv", "trace.csv", "result.json"]
-    write_field_csv(outdir / "u_min.csv", result.u_min)
-    write_field_csv(outdir / "v_field.csv", result.v_field)
-    _write_trace_csv(outdir / "trace.csv", result.iterations)
-    _write_json(outdir / "result.json", _result_json(ops, result))
-    if spec.plots:
-        steps = [row[0] for row in result.iterations]
-        energies = [row[1] for row in result.iterations]
-        write_line_plot(
-            outdir / "energy_trace.svg",
-            {"energy": (steps, energies)},
-            title="energy vs iteration",
-            xlabel="iteration",
-            ylabel="energy",
-        )
-        artifacts.append("energy_trace.svg")
-    line = (
+    out.field("u_min.csv", result.u_min)
+    _write_result(
+        out, ops, result, "energy_trace.svg", series="energy", column=1,
+        title="energy vs iteration", ylabel="energy",
+    )
+    return [
         f"minimize: eps={spec.epsilons[0]:g} energy={result.energy:.9f} "
         f"el_residual={result.el_residual:.3e} "
         f"iterations={len(result.iterations)} polish={result.polish_steps}"
-    )
-    return [line], artifacts
+    ]
 
 
-def _cmd_sweep(spec: RunSpec, outdir: Path):
+def _cmd_sweep(spec: RunSpec, out: _Artifacts):
     ops = _operators(spec)
     rows, lines = [], []
     warm = _initial_field(spec, ops, default_amplitude=0.0)
-    last = None
     for eps in spec.epsilons:
         result = minimize_perturbed(ops, _solver_config(spec, eps), warm)
         warm = result.u_min  # continuation between epsilon stages
-        last = result
         rows.append(
-            (
-                _g17(eps),
-                _g17(result.energy),
-                _g17(result.el_residual),
-                len(result.iterations),
-            )
+            (_g17(eps), _g17(result.energy), _g17(result.el_residual),
+             len(result.iterations))
         )
         lines.append(
             f"sweep-eps: eps={eps:g} energy={result.energy:.9f} "
             f"el_residual={result.el_residual:.3e}"
         )
-    artifacts = ["sweep.csv", "u_min.csv", "result.json"]
-    _write_csv(outdir / "sweep.csv", "epsilon,energy,el_residual,steps", rows)
-    write_field_csv(outdir / "u_min.csv", last.u_min)
-    _write_json(
-        outdir / "result.json",
+    energies = [float(row[1]) for row in rows]
+    out.csv("sweep.csv", "epsilon,energy,el_residual,steps", rows)
+    out.field("u_min.csv", result.u_min)
+    out.json(
+        "result.json",
         {
             "epsilons": list(spec.epsilons),
-            "energies": [float(row[1]) for row in rows],
-            "final": _result_json(ops, last),
+            "energies": energies,
+            "final": _result_json(ops, result),
         },
     )
-    if spec.plots:
-        write_line_plot(
-            outdir / "sweep.svg",
-            {"energy": (list(spec.epsilons), [float(r[1]) for r in rows])},
-            title="minimum energy vs epsilon",
-            xlabel="epsilon",
-            ylabel="energy",
-        )
-        artifacts.append("sweep.svg")
-    return lines, artifacts
+    out.plot(
+        "sweep.svg",
+        {"energy": (list(spec.epsilons), energies)},
+        title="minimum energy vs epsilon",
+        xlabel="epsilon",
+        ylabel="energy",
+    )
+    return lines
 
 
-def _cmd_mean_field(spec: RunSpec, outdir: Path):
+def _cmd_mean_field(spec: RunSpec, out: _Artifacts):
     ops = _operators(spec)
-    initial = None
-    if spec.amplitude is not None and spec.amplitude != 0.0:
-        initial = _initial_field(spec, ops, default_amplitude=0.0)
     result = solve_mean_field(
         ops,
         spec.epsilons[0],
-        initial=initial,
+        initial=_initial_field(spec, ops, default_amplitude=0.0),
         **_given(tolerance=spec.tolerance, max_iterations=spec.max_iterations),
     )
-    artifacts = ["v_field.csv", "trace.csv", "result.json"]
-    write_field_csv(outdir / "v_field.csv", result.v_field)
-    _write_trace_csv(outdir / "trace.csv", result.iterations)
-    _write_json(outdir / "result.json", _result_json(ops, result))
-    if spec.plots:
-        steps = [row[0] for row in result.iterations]
-        residuals = [row[2] for row in result.iterations]
-        write_line_plot(
-            outdir / "residual_trace.svg",
-            {"residual": (steps, residuals)},
-            title="mean-field residual",
-            xlabel="iteration",
-            ylabel="log10 residual",
-            log_y=True,
-        )
-        artifacts.append("residual_trace.svg")
-    line = (
+    _write_result(
+        out, ops, result, "residual_trace.svg", series="residual", column=2,
+        title="mean-field residual", ylabel="log10 residual", log_y=True,
+    )
+    return [
         f"mean-field: eps={spec.epsilons[0]:g} "
         f"el_residual={result.el_residual:.3e} "
         f"iterations={len(result.iterations) - 1}"
-    )
-    return [line], artifacts
+    ]
 
 
-def _cmd_green(spec: RunSpec, outdir: Path):
+def _cmd_green(spec: RunSpec, out: _Artifacts):
     ops = _operators(spec)
     result = solve_green(ops, spec.pole)
-    artifacts = ["green_field.csv", "green.json"]
-    write_field_csv(outdir / "green_field.csv", result.field)
-    _write_json(
-        outdir / "green.json",
+    out.field("green_field.csv", result.field)
+    out.json(
+        "green.json",
         {
             "pole": result.pole,
             "A_value": result.A_value,
@@ -431,82 +440,62 @@ def _cmd_green(spec: RunSpec, outdir: Path):
             "integral": integrate(ops, result.field),
         },
     )
-    if spec.plots:
-        order = np.argsort(result.distances)
-        keep = result.distances[order] > 0.5 * ops.mean_edge_length
-        dist = result.distances[order][keep]
-        series = {"computed": (dist, result.field[order][keep])}
-        if _is_round(ops.mesh):
-            series["closed_form"] = (dist, -4.0 * np.log(np.sin(dist / 2.0)) - 2.0)
-        write_line_plot(
-            outdir / "green_vs_distance.svg",
-            series,
-            title="Green function vs distance",
-            xlabel="geodesic distance",
-            ylabel="G",
-        )
-        artifacts.append("green_vs_distance.svg")
-    line = (
+    order = np.argsort(result.distances)
+    keep = result.distances[order] > 0.5 * ops.mean_edge_length
+    dist = result.distances[order][keep]
+    series = {"computed": (dist, result.field[order][keep])}
+    if _is_round(ops.mesh):
+        series["closed_form"] = (dist, -4.0 * np.log(np.sin(dist / 2.0)) - 2.0)
+    out.plot(
+        "green_vs_distance.svg",
+        series,
+        title="Green function vs distance",
+        xlabel="geodesic distance",
+        ylabel="G",
+    )
+    return [
         f"green: pole={result.pole} A={result.A_value:.6f} "
         f"fit_residual={result.fit_residual:.3e}"
-    )
-    return [line], artifacts
+    ]
 
 
-def _cmd_bubble(spec: RunSpec, outdir: Path):
+def _cmd_bubble(spec: RunSpec, out: _Artifacts):
     radius = spec.bubble_radius
     report = bubble_checks(radius, **_given(quadrature_n=spec.grid_n))
     payload = report.as_dict()
     payload["dirichlet_closed_form"] = bubble_dirichlet_closed_form(radius)
     payload["mass_closed_form"] = bubble_mass_closed_form(radius)
-    artifacts = ["bubble.json", "profile.csv"]
-    _write_json(outdir / "bubble.json", payload)
+    out.json("bubble.json", payload)
     rr = np.linspace(0.0, radius, 513)
     phi = bubble_profile(np.column_stack([rr, np.zeros_like(rr)]))
-    _write_csv(
-        outdir / "profile.csv",
-        "r,phi",
-        [(_g17(x), _g17(y)) for x, y in zip(rr, phi)],
+    out.csv("profile.csv", "r,phi", [(_g17(x), _g17(y)) for x, y in zip(rr, phi)])
+    out.plot(
+        "profile.svg",
+        {"phi0": (rr, phi)},
+        title="standard bubble profile",
+        xlabel="r",
+        ylabel="phi0",
     )
-    if spec.plots:
-        write_line_plot(
-            outdir / "profile.svg",
-            {"phi0": (rr, phi)},
-            title="standard bubble profile",
-            xlabel="r",
-            ylabel="phi0",
-        )
-        artifacts.append("profile.svg")
-    line = (
+    return [
         f"bubble: R={radius:g} dirichlet_integral={report.dirichlet_integral:.6f} "
         f"mass_integral={report.mass_integral:.9f} "
         f"pde_residual_max={report.pde_residual_max:.3e}"
-    )
-    return [line], artifacts
+    ]
 
 
-def _cmd_flow(spec: RunSpec, outdir: Path):
+def _cmd_flow(spec: RunSpec, out: _Artifacts):
     ops = _operators(spec)
     u0 = _initial_field(spec, ops, default_amplitude=0.3)
     trace = run_flow(ops, u0, t_end=spec.t_end, dt0=spec.dt0)
-    artifacts = ["flow.csv", "final_field.csv", "flow.json"]
-    _write_csv(
-        outdir / "flow.csv",
-        "t,energy,volume,max_curv_dev,dt",
-        [
-            (_g17(t), _g17(e), _g17(v), _g17(d), _g17(s))
-            for t, e, v, d, s in zip(
-                trace.times,
-                trace.energies,
-                trace.volumes,
-                trace.curvature_deviation,
-                trace.step_sizes,
-            )
-        ],
+    columns = (
+        trace.times, trace.energies, trace.volumes, trace.curvature_deviation,
+        trace.step_sizes,
     )
-    write_field_csv(outdir / "final_field.csv", trace.final_field)
-    _write_json(
-        outdir / "flow.json",
+    rows = [tuple(map(_g17, row)) for row in zip(*columns)]
+    out.csv("flow.csv", "t,energy,volume,max_curv_dev,dt", rows)
+    out.field("final_field.csv", trace.final_field)
+    out.json(
+        "flow.json",
         {
             "steps": len(trace.times) - 1,
             "final_time": trace.times[-1],
@@ -515,53 +504,36 @@ def _cmd_flow(spec: RunSpec, outdir: Path):
             "volume_drift": max(abs(v - trace.volumes[0]) for v in trace.volumes),
         },
     )
-    if spec.plots:
-        write_line_plot(
-            outdir / "flow_energy.svg",
-            {"energy": (trace.times, trace.energies)},
-            title="flow energy",
-            xlabel="t",
-            ylabel="energy",
-        )
-        write_line_plot(
-            outdir / "flow_deviation.svg",
-            {"max_curv_dev": (trace.times, trace.curvature_deviation)},
-            title="curvature deviation",
-            xlabel="t",
-            ylabel="log10 max deviation",
-            log_y=True,
-        )
-        artifacts.extend(["flow_energy.svg", "flow_deviation.svg"])
-    line = (
+    out.plot(
+        "flow_energy.svg",
+        {"energy": (trace.times, trace.energies)},
+        title="flow energy",
+        xlabel="t",
+        ylabel="energy",
+    )
+    out.plot(
+        "flow_deviation.svg",
+        {"max_curv_dev": (trace.times, trace.curvature_deviation)},
+        title="curvature deviation",
+        xlabel="t",
+        ylabel="log10 max deviation",
+        log_y=True,
+    )
+    return [
         f"flow: steps={len(trace.times) - 1} t_end={trace.times[-1]:g} "
         f"final_energy={trace.energies[-1]:.6e} "
         f"final_max_curv_dev={trace.curvature_deviation[-1]:.3e}"
-    )
-    return [line], artifacts
+    ]
 
 
-def _margin_rows(report):
-    return [(s, _g17(m)) for s, m in report.sample_margins]
-
-
-def _cmd_inequalities(spec: RunSpec, outdir: Path):
+def _cmd_inequalities(spec: RunSpec, out: _Artifacts):
     ops = _operators(spec)
-    reports = []
-    lines = []
-    artifacts = ["inequalities.json"]
-
     grid = _given(grid_n=spec.grid_n)
-    local = check_local_mt(spec.r, spec.samples, spec.seed, **grid)
-    reports.append(local)
-
-    gaps = []
+    reports = [check_local_mt(spec.r, spec.samples, spec.seed, **grid)]
     for t in (0.5, 1.0, 2.0, 4.0):
         a = t * np.pi * spec.r * spec.r * np.exp(2.0 * spec.b)
-        gaps.append(disk_floor_gap(a, spec.b, spec.r, **grid))
-    reports.extend(gaps)
-
-    global_mt = check_global_mt(ops, spec.epsilons[0], spec.trials, spec.seed)
-    reports.append(global_mt)
+        reports.append(disk_floor_gap(a, spec.b, spec.r, **grid))
+    reports.append(check_global_mt(ops, spec.epsilons[0], spec.trials, spec.seed))
 
     onofri_ops = ops
     if not _is_round(ops.mesh):
@@ -569,38 +541,33 @@ def _cmd_inequalities(spec: RunSpec, outdir: Path):
         # so it runs on the same mesh with the background removed.
         flat = np.zeros(ops.mesh.num_vertices)
         onofri_ops = assemble_operators(set_conformal_background(ops.mesh, flat))
-    onofri = onofri_suite(onofri_ops, spec.samples, spec.seed)
-    reports.append(onofri)
+    reports.append(onofri_suite(onofri_ops, spec.samples, spec.seed))
+    reports.append(poincare_constant(ops, spec.p, seed=spec.seed))
+    reports.append(
+        brezis_merle_check(spec.r, spec.delta, spec.samples, spec.seed, **grid)
+    )
 
-    poincare = poincare_constant(ops, spec.p, seed=spec.seed)
-    reports.append(poincare)
-
-    bm = brezis_merle_check(spec.r, spec.delta, spec.samples, spec.seed, **grid)
-    reports.append(bm)
-
-    _write_json(outdir / "inequalities.json", [rep.as_dict() for rep in reports])
+    lines = []
+    out.json("inequalities.json", [rep.as_dict() for rep in reports])
     for rep in reports:
         if rep.sample_margins:
             name = f"margins_{rep.name}.csv"
             # Gap reports share a name; disambiguate by parameter.
             if rep.name == "disk_dirichlet_gap":
                 name = f"margins_{rep.name}_t{rep.parameters['t']:g}.csv"
-            _write_csv(outdir / name, "seed,margin", _margin_rows(rep))
-            artifacts.append(name)
+            out.csv(name, "seed,margin", [(s, _g17(m)) for s, m in rep.sample_margins])
         lines.append(
             f"{rep.name}: samples={rep.samples} "
             f"worst_margin={rep.worst_margin:.6e} worst_seed={rep.worst_seed}"
         )
-    return lines, artifacts
+    return lines
 
 
-def _cmd_disk(spec: RunSpec, outdir: Path):
-    grid = _given(grid_n=spec.grid_n)
-    minimum = disk_min_dirichlet(spec.a, spec.b, spec.r, **grid)
-    gap = disk_floor_gap(spec.a, spec.b, spec.r, **grid)
-    artifacts = ["disk.json", "profile.csv"]
-    _write_json(
-        outdir / "disk.json",
+def _cmd_disk(spec: RunSpec, out: _Artifacts):
+    minimum = disk_min_dirichlet(spec.a, spec.b, spec.r, **_given(grid_n=spec.grid_n))
+    gap = _disk_gap(minimum, spec.a, spec.b, spec.r)
+    out.json(
+        "disk.json",
         {
             "a": spec.a,
             "b": spec.b,
@@ -614,35 +581,31 @@ def _cmd_disk(spec: RunSpec, outdir: Path):
             "t": gap.parameters["t"],
         },
     )
-    _write_csv(
-        outdir / "profile.csv",
+    out.csv(
+        "profile.csv",
         "r,w",
         [(_g17(x), _g17(y)) for x, y in zip(minimum.radii, minimum.profile)],
     )
-    if spec.plots:
-        write_line_plot(
-            outdir / "profile.svg",
-            {"w": (minimum.radii, minimum.profile)},
-            title="constrained disk minimizer",
-            xlabel="rho",
-            ylabel="w",
-        )
-        artifacts.append("profile.svg")
-    line = (
+    out.plot(
+        "profile.svg",
+        {"w": (minimum.radii, minimum.profile)},
+        title="constrained disk minimizer",
+        xlabel="rho",
+        ylabel="w",
+    )
+    return [
         f"disk: value={minimum.value:.9f} bound={gap.parameters['bound']:.9f} "
         f"margin={gap.worst_margin:.3e}"
-    )
-    return [line], artifacts
+    ]
 
 
-def _cmd_mesh_info(spec: RunSpec, outdir: Path):
+def _cmd_mesh_info(spec: RunSpec, out: _Artifacts):
     ops = _operators(spec)
     mesh = ops.mesh
     euler = mesh.num_vertices - mesh.num_edges + mesh.num_faces
-    artifacts = ["mesh.off", "mesh_info.json"]
-    write_off_mesh(outdir / "mesh.off", mesh)
-    _write_json(
-        outdir / "mesh_info.json",
+    out.mesh("mesh.off", mesh)
+    out.json(
+        "mesh_info.json",
         {
             "vertices": mesh.num_vertices,
             "edges": mesh.num_edges,
@@ -656,14 +619,13 @@ def _cmd_mesh_info(spec: RunSpec, outdir: Path):
             "curvature_max": float(ops.curvature.max()),
         },
     )
-    lines = [
+    return [
         f"V={mesh.num_vertices} E={mesh.num_edges} F={mesh.num_faces} "
         f"euler={euler}",
         f"total_area={ops.total_area:.12f} mean_edge={ops.mean_edge_length:.6f} "
         f"mass_correction={ops.mass_correction:.9f}",
         f"curvature range [{ops.curvature.min():.6f}, {ops.curvature.max():.6f}]",
     ]
-    return lines, artifacts
 
 
 _HANDLERS = {
@@ -704,15 +666,14 @@ def _locate(exc: BaseException) -> str:
 
 def _execute(spec: RunSpec) -> int:
     start = time.perf_counter()
-    outdir = Path(spec.output_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    lines, artifacts = _HANDLERS[spec.command](spec, outdir)
+    out = _Artifacts(Path(spec.output_dir), spec.plots)
+    lines = _HANDLERS[spec.command](spec, out)
     from . import __version__
 
     manifest = {
         "command": spec.command,
         "parameters": asdict(spec),
-        "artifacts": sorted(artifacts),
+        "artifacts": sorted(out.names),
         "package_version": __version__,
         "python_version": platform.python_version(),
         "numpy_version": np.__version__,
@@ -720,7 +681,7 @@ def _execute(spec: RunSpec) -> int:
         "seed_scheme": _SEED_SCHEME,
         "wall_time_seconds": round(time.perf_counter() - start, 3),
     }
-    _write_json(outdir / "run_manifest.json", manifest)
+    out.json("run_manifest.json", manifest)
     for line in lines:
         print(line)
     return 0

@@ -165,7 +165,11 @@ def disk_floor_gap(a: float, b: float, r: float, grid_n: int = 4096) -> Inequali
     the O(h^2) quadrature bias otherwise.  The bound depends on (a, b)
     only through t.
     """
-    minimum = disk_min_dirichlet(a, b, r, grid_n)
+    return _disk_gap(disk_min_dirichlet(a, b, r, grid_n), a, b, r)
+
+
+def _disk_gap(minimum, a, b, r) -> InequalityReport:
+    """The disk_floor_gap report of a disk_min_dirichlet(a, b, r) result."""
     t = a * np.exp(-2.0 * b) / (np.pi * r * r)
     bound = FOUR_PI * (np.log(t) + 1.0 / t - 1.0)
     margin = minimum.value - bound
@@ -178,7 +182,7 @@ def disk_floor_gap(a: float, b: float, r: float, grid_n: int = 4096) -> Inequali
             "a": a,
             "b": b,
             "r": r,
-            "grid_n": grid_n,
+            "grid_n": len(minimum.radii) - 1,
             "t": t,
             "value": minimum.value,
             "bound": float(bound),
@@ -253,8 +257,8 @@ def check_global_mt(
     constant, reported in parameters["sup_value"].  On the round sphere
     the supremum is ln(4 pi), attained by constants.
     """
-    if epsilon <= 0:
-        raise ParameterError("epsilon must be positive")
+    if not 0 < epsilon < np.inf:
+        raise ParameterError(f"epsilon must be positive and finite, got {epsilon}")
     if trials < 1:
         raise ParameterError("trials must be >= 1")
     kappa = 1.0 / SIXTEEN_PI + epsilon
@@ -313,8 +317,10 @@ def onofri_suite(
     """
     if samples < 1:
         raise ParameterError("samples must be >= 1")
-    if amplitude_max <= 0 or dilation_max < 1:
-        raise ParameterError("amplitude_max must be > 0 and dilation_max >= 1")
+    if not (0 < amplitude_max < np.inf and 1 <= dilation_max < np.inf):
+        raise ParameterError(
+            "amplitude_max must be finite and > 0, dilation_max finite and >= 1"
+        )
 
     def margin_of(i, s_i, rng):
         if i == 0:

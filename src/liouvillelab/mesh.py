@@ -34,7 +34,7 @@ import scipy.sparse.linalg as spla
 from scipy.spatial import cKDTree
 from scipy.special import sph_harm_y
 
-from .errors import DataError, MeshQualityError, NumericError, ParameterError
+from .errors import DataError, MeshQualityError, NumericError, ParameterError, ResolutionError
 
 logger = logging.getLogger(__name__)
 
@@ -472,7 +472,8 @@ def _round_eigenbasis(mesh: TriangulatedSphere, bands: int):
     make fields reproducible across runs and consistent across mesh levels,
     analytic real harmonics are projected onto each discrete multiplet span
     and Gram-Schmidt orthonormalized in the mass inner product.  Returns
-    (eigenvalues, basis) covering whole multiplets, at least ``bands`` wide.
+    (eigenvalues, basis) covering whole multiplets, at least ``bands`` wide;
+    a mesh too coarse to resolve them raises ResolutionError.
     """
     lmax = 1
     while (lmax + 1) ** 2 - 1 < bands:
@@ -484,7 +485,7 @@ def _round_eigenbasis(mesh: TriangulatedSphere, bands: int):
     n = mesh.num_vertices
     k = (lmax + 1) ** 2
     if k >= n - 1:
-        raise ParameterError(
+        raise ResolutionError(
             f"mesh too coarse for {bands} bands ({n} vertices, need {k + 1} modes)"
         )
     mass_mat = sp.diags(core.round_mass)
@@ -513,8 +514,9 @@ def _round_eigenbasis(mesh: TriangulatedSphere, bands: int):
         lam_exact = ell * (ell + 1)
         block_vals = vals[pos : pos + dim]
         if np.abs(block_vals - lam_exact).max() > 0.4 * lam_exact:
-            raise NumericError(
-                f"eigenvalue block near {lam_exact} not resolved: {block_vals}"
+            shown = np.array2string(block_vals, max_line_width=np.inf)  # one line
+            raise ResolutionError(
+                f"eigenvalue block near {lam_exact} not resolved: {shown}"
             )
         span = vecs[:, pos : pos + dim]
         coeffs = span.T @ (weights[:, None] * refs[:, pos : pos + dim])

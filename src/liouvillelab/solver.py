@@ -368,7 +368,7 @@ def disk_min_dirichlet(
     log_level = np.log(level_target)
     n_stages = max(1, int(np.ceil(abs(log_level) / 0.4)))
 
-    w = np.full(n + 1, b)
+    w = np.full(n + 1, float(b))
     mu = 0.0
     res_norm = 0.0
     interior = form[:n, :n]

@@ -15,6 +15,9 @@ from liouvillelab import (
     SolverConfig,
     assemble_operators,
     cli,
+    disk_floor_gap,
+    disk_min_dirichlet,
+    inequalities,
     onofri_suite,
     read_off_mesh,
 )
@@ -112,6 +115,31 @@ class TestSweep:
         for name in manifest["artifacts"]:
             assert (tmp_path / name).exists()
 
+    @pytest.mark.parametrize("plots", [True, False])
+    def test_manifest_lists_exactly_the_files_written(self, tmp_path, plots):
+        commands = [
+            ["minimize", "--level", 2, "--amp", 0.2],
+            ["sweep-eps", "--level", 2, "--eps", "0.5,0.25"],
+            ["mean-field", "--level", 2],
+            ["green", "--level", 2],
+            ["bubble"],
+            ["flow", "--level", 2, "--t-end", 0.5],
+            ["inequalities", "--level", 2, "--samples", 3, "--trials", 1],
+            ["disk", "--grid-n", 512],
+            ["mesh-info", "--level", 2],
+        ]
+        assert [args[0] for args in commands] == list(cli._HANDLERS)
+        for args in commands:
+            out = tmp_path / args[0]
+            flags = [] if plots else ["--no-plots"]
+            assert run(args + flags + ["--out", out]) == 0
+            manifest = json.loads((out / "run_manifest.json").read_text())
+            written = sorted(p.name for p in out.iterdir())
+            written.remove("run_manifest.json")
+            assert written == manifest["artifacts"], args
+            if not plots:
+                assert not list(out.glob("*.svg")), args
+
     def test_rerun_byte_identical(self, tmp_path):
         args = ["sweep-eps", "--level", 2, "--eps", "0.5,0.25", "--seed", 3]
         a, b = tmp_path / "a", tmp_path / "b"
@@ -184,6 +212,24 @@ class TestSingleCommands:
         rows = (tmp_path / "flow.csv").read_text().splitlines()
         assert rows[0] == "t,energy,volume,max_curv_dev,dt"
         assert len(rows) == info["steps"] + 2
+
+    def test_disk_solves_once(self, tmp_path, monkeypatch):
+        # The gap report reuses the command's minimum instead of re-solving.
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return disk_min_dirichlet(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "disk_min_dirichlet", counted)
+        monkeypatch.setattr(inequalities, "disk_min_dirichlet", counted)
+        args = ["disk", "--a", 20.0, "--grid-n", 512, "--no-plots", "--out", tmp_path]
+        assert run(args) == 0
+        assert len(calls) == 1
+        info = json.loads((tmp_path / "disk.json").read_text())
+        gap = disk_floor_gap(20.0, 0.0, 1.0, grid_n=512)
+        assert info["margin"] == gap.worst_margin
+        assert info["grid_n"] == gap.parameters["grid_n"] == 512
 
     def test_disk_equality_case(self, tmp_path):
         assert run(["disk", "--out", tmp_path]) == 0
@@ -432,6 +478,17 @@ class TestExitCodes:
         lines = proc.stderr.splitlines()
         assert len(lines) == 1
         assert lines[0].startswith("ConvergenceError in solver.solve_mean_field: ")
+
+    def test_coarse_band_field_stderr_is_one_typed_line(self, tmp_path):
+        # 24 bands need the l = 4 block, which a level-1 mesh cannot resolve.
+        proc = run_module(
+            ["sweep-eps", "--level", 1, "--amp", 0.5, "--bands", 24, "--out", tmp_path]
+        )
+        assert proc.returncode == 3
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("ResolutionError in mesh.random_band_field: ")
+        assert "not resolved" in lines[0]
 
     def test_eigensolver_failure_maps_to_four(self, tmp_path, capsys, monkeypatch):
         def no_convergence(*args, **kwargs):

@@ -110,6 +110,8 @@ class TestDiskGap:
         rep2 = disk_floor_gap(8.0 * np.pi * np.exp(-3.0), -1.5, 2.0)
         assert rep1.parameters["t"] == pytest.approx(rep2.parameters["t"], rel=1e-14)
         assert rep1.worst_margin == pytest.approx(rep2.worst_margin, abs=1e-9)
+        # integer b and r are the same inputs as their float values
+        assert disk_floor_gap(2.0 * np.pi, 0, 1) == rep1
 
 
 class TestGlobalBound:
@@ -136,6 +138,9 @@ class TestGlobalBound:
             check_global_mt(ops3, -0.1, 2, 0)
         with pytest.raises(ParameterError):
             check_global_mt(ops3, 0.1, 0, 0)
+        for eps in (np.nan, np.inf):
+            with pytest.raises(ParameterError):
+                check_global_mt(ops3, eps, 2, 0)
 
 
 class TestOnofriSuite:
@@ -172,6 +177,11 @@ class TestOnofriSuite:
             onofri_suite(ops3, 5, 1, amplitude_max=0.0)
         with pytest.raises(ParameterError):
             onofri_suite(ops3, 5, 1, dilation_max=0.5)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ParameterError):
+                onofri_suite(ops3, 5, 1, amplitude_max=bad)
+            with pytest.raises(ParameterError):
+                onofri_suite(ops3, 5, 1, dilation_max=bad)
 
 
 class TestPoincareConstant:

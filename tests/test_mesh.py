@@ -10,6 +10,7 @@ from liouvillelab import (
     MeshQualityError,
     NumericError,
     ParameterError,
+    ResolutionError,
     TriangulatedSphere,
     assemble_operators,
     build_icosphere,
@@ -410,6 +411,13 @@ def test_round_eigensolve_failure_is_numeric_error(monkeypatch):
     monkeypatch.setattr(spla, "eigsh", no_convergence)
     with pytest.raises(NumericError, match="round eigensolve failed"):
         random_band_field(build_icosphere(2), 0, 4, 0.5)
+
+
+@pytest.mark.parametrize("bands", [4, 9])
+def test_coarse_mesh_band_field_is_resolution_error(bands):
+    # 4 bands fail the l = 2 eigenvalue block; 9 need more modes than exist.
+    with pytest.raises(ResolutionError):
+        random_band_field(build_icosphere(0), 0, bands, 0.5)
 
 
 def test_off_roundtrip(tmp_path):

@@ -290,6 +290,11 @@ def test_disk_value_depends_only_on_volume_ratio():
     scaled = disk_min_dirichlet(2.0 * np.pi * 2.25, 0.3, 1.5)
     assert abs(shifted.value - base.value) <= 1e-9
     assert abs(scaled.value - base.value) <= 1e-9
+    # an integer boundary value is the same input as its float value
+    as_int = disk_min_dirichlet(2.0 * np.pi, 0, 1.0)
+    as_float = disk_min_dirichlet(2.0 * np.pi, 0.0, 1.0)
+    assert as_int.value == as_float.value
+    assert np.array_equal(as_int.profile, as_float.profile)
 
 
 def test_disk_profile_boundary_and_shape():
