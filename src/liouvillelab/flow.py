@@ -58,7 +58,7 @@ def _semi_implicit(ops, u, dt):
     weights = ops.mass * np.exp(u)
     matrix = sp.diags(weights) + dt * ops.stiffness
     rhs = weights * (u + dt * (2.0 - 2.0 * ops.curvature * np.exp(-u)))
-    return _renormalize(ops, _solve(matrix, rhs, "flow step"))
+    return _renormalize(ops, _solve(matrix, rhs, "flow step", ops.mesh))
 
 
 def _guarded_step(ops, u, energy, dt):

@@ -90,7 +90,7 @@ def solve_green(ops: DiscreteOperators, pole: int) -> GreenResult:
     rhs[pole] += EIGHT_PI
     column = ops.mass / FOUR_PI
     system = sp.bmat([[ops.stiffness, column[:, None]], [column[None, :], None]])
-    solution = _solve(system, np.concatenate([rhs, [0.0]]), "Green system")
+    solution = _solve(system, np.concatenate([rhs, [0.0]]), "Green system", ops.mesh)
     g_field = solution[:n]
     distances, exact = geodesic_distances(ops, pole)
     result = GreenResult(

@@ -263,7 +263,7 @@ def check_global_mt(
         raise ParameterError("trials must be >= 1")
     kappa = 1.0 / SIXTEEN_PI + epsilon
     metric = 2.0 * kappa * ops.stiffness + sp.diags(ops.mass)
-    solve_metric = _factor(metric, "ascent metric")
+    solve_metric = _factor(metric, "ascent metric", ops.mesh)
     best_value, best_seed = -np.inf, sample_seed(seed, 0)
     rows = []
     total_iterations = 0

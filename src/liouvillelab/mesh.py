@@ -46,6 +46,7 @@ ScalarField = np.ndarray
 _MAX_LEVEL = 8
 _UNIT_NORM_TOL = 1e-12
 _MIN_ANGLE_DEG = 1.0
+_LEAF_SIZE = 32  # nested-dissection parts this small are not split
 
 
 @dataclass(eq=False)
@@ -186,33 +187,109 @@ _RANK_MODULE = re.escape(__name__) + r"\Z"
 _RANK_FILTER = ("error", None, spla.MatrixRankWarning, re.compile(_RANK_MODULE), 0)
 
 
-def _solve(matrix, rhs, what: str) -> np.ndarray:
+def _solve(matrix, rhs, what: str, mesh: TriangulatedSphere | None = None) -> np.ndarray:
     """One-shot sparse solve; any failure is a NumericError naming ``what``.
 
-    That covers SuperLU's RuntimeError, SciPy's MatrixRankWarning and a
-    non-finite solution.  SciPy is called through ``spla`` attributes, so
-    wrappers installed on scipy.sparse.linalg see every call.
+    With a mesh, the matrix is factored as P A P^T in the mesh's
+    nested-dissection order (rows beyond the vertex count, such as a
+    border, last) and the solution is permuted back; without one, in the
+    order given.  Either way SuperLU takes the columns in that order
+    (``permc_spec="NATURAL"``) and keeps its partial row pivoting, so
+    indefinite and bordered systems still get a pivoted LU: a poor order
+    costs fill and time, not accuracy.  Failures cover SuperLU's
+    RuntimeError, SciPy's MatrixRankWarning and a non-finite solution.
+    SciPy is called through ``spla`` attributes, so wrappers installed on
+    scipy.sparse.linalg see every call.
     """
     if _RANK_FILTER not in warnings.filters:
         warnings.filterwarnings("error", "", spla.MatrixRankWarning, _RANK_MODULE)
+    matrix, order = _permuted(matrix, mesh)
     try:
-        solution = spla.spsolve(matrix.tocsc(), rhs)
+        solution = spla.spsolve(matrix, rhs[order], permc_spec="NATURAL")
     except (RuntimeError, spla.MatrixRankWarning) as exc:
         raise NumericError(f"{what} solve failed: {exc}") from exc
-    return _finite_solution(solution, what)
+    return _finite_solution(_unpermuted(solution, order), what)
 
 
-def _factor(matrix, what: str):
-    """LU factor for repeated solves; returns ``solve(rhs)``, checked as in _solve."""
+def _factor(matrix, what: str, mesh: TriangulatedSphere | None = None):
+    """LU factor for repeated solves; returns ``solve(rhs)``.
+
+    Ordered, pivoted, permuted back and checked as in _solve.
+    """
+    matrix, order = _permuted(matrix, mesh)
     try:
-        lu = spla.splu(matrix.tocsc())
+        lu = spla.splu(matrix, permc_spec="NATURAL")
     except RuntimeError as exc:
         raise NumericError(f"{what} factorization failed: {exc}") from exc
 
     def _solve_factored(rhs):
-        return _finite_solution(lu.solve(rhs), what)
+        return _finite_solution(_unpermuted(lu.solve(rhs[order]), order), what)
 
     return _solve_factored
+
+
+def _permuted(matrix, mesh):
+    # (P A P^T in CSC, the order): the mesh's vertex order, then any
+    # further rows in place; the identity order without a mesh.
+    size = matrix.shape[0]
+    if mesh is None:
+        return matrix.tocsc(), np.arange(size)
+    order = _ordering(mesh)
+    order = np.concatenate([order, np.arange(len(order), size)])
+    return matrix.tocsr()[order][:, order].tocsc(), order
+
+
+def _unpermuted(solution, order):
+    original = np.empty_like(solution)
+    original[order] = solution
+    return original
+
+
+def _ordering(mesh: TriangulatedSphere) -> np.ndarray:
+    """Nested-dissection vertex order of the mesh graph, cached per mesh.
+
+    Recursive coordinate bisection: split a part at the median of its
+    widest coordinate; the separator is the lower-half vertices with a
+    neighbour in the upper half.  The order is the lower half, the upper
+    half, then the separator, down to parts of _LEAF_SIZE vertices.
+    """
+    cached = _ORDER_CACHE.get(mesh)
+    if cached is not None:
+        return cached
+    n = mesh.num_vertices
+    # Adjacency lists, flat: the mesh is closed and oriented, so its
+    # directed edges list each edge both ways.
+    tails, heads = mesh._directed_edges()
+    neighbours = heads[np.argsort(tails, kind="stable")]
+    degrees = np.bincount(tails, minlength=n)
+    starts = np.cumsum(degrees) - degrees
+    upper = np.zeros(n, dtype=bool)
+    parts = []
+
+    def dissect(part):
+        if len(part) <= _LEAF_SIZE:
+            parts.append(part)
+            return
+        coords = mesh.vertices[part]
+        axis = np.argmax(coords.max(axis=0) - coords.min(axis=0))
+        part = part[np.argsort(coords[:, axis], kind="stable")]
+        lower, higher = np.split(part, [len(part) // 2])
+        upper[higher] = True
+        # The neighbours of the lower half, row after row.
+        count = degrees[lower]
+        offsets = np.cumsum(count) - count
+        slots = np.repeat(starts[lower] - offsets, count) + np.arange(count.sum())
+        touches = np.logical_or.reduceat(upper[neighbours[slots]], offsets)
+        upper[higher] = False
+        dissect(lower[~touches])
+        dissect(higher)
+        parts.append(lower[touches])
+
+    dissect(np.arange(n))
+    order = np.concatenate(parts)
+    order.flags.writeable = False
+    _ORDER_CACHE[mesh] = order
+    return order
 
 
 def _finite_solution(solution, what):
@@ -236,6 +313,10 @@ _CORE_CACHE: "weakref.WeakKeyDictionary[TriangulatedSphere, _GeometricCore]" = (
 )
 # mesh -> (lmax, eigenvalues, basis) for the aligned round eigenbasis
 _BASIS_CACHE: "weakref.WeakKeyDictionary[TriangulatedSphere, tuple]" = (
+    weakref.WeakKeyDictionary()
+)
+# mesh -> nested-dissection vertex order for sparse factorizations
+_ORDER_CACHE: "weakref.WeakKeyDictionary[TriangulatedSphere, np.ndarray]" = (
     weakref.WeakKeyDictionary()
 )
 

@@ -107,7 +107,7 @@ def _newton_direction(ops, epsilon, u, grad):
     v = u - log_volume(ops, u)
     jac = ops.stiffness - sp.diags((EIGHT_PI - epsilon) * np.exp(v) * ops.mass)
     try:
-        return _solve(jac, -(grad * ops.mass), "minimizer Newton step")
+        return _solve(jac, -(grad * ops.mass), "minimizer Newton step", ops.mesh)
     except NumericError:
         return None
 
@@ -148,7 +148,7 @@ def _newton_mean_field(ops, epsilon, v0, tolerance, max_iterations):
         else:
             normal = jac @ sp.diags(1.0 / ops.mass) @ jac
             matrix, rhs = normal + sp.diags(lam * ops.mass), -(jac @ residual)
-        step = _solve(matrix, rhs, "mean-field Newton step")
+        step = _solve(matrix, rhs, "mean-field Newton step", ops.mesh)
         damping = 1.0
         while damping >= _STEP_FLOOR:
             # An overflowing trial has an inf or NaN norm and fails the test.
@@ -262,7 +262,7 @@ def minimize_perturbed(
     if not np.isfinite(energy + grad_norm):
         raise NumericError("the functional overflows at the initial field")
     rows = [(0, energy, grad_norm)]
-    precond = _factor(ops.stiffness + sp.diags(ops.mass), "H1 preconditioner")
+    precond = _factor(ops.stiffness + sp.diags(ops.mass), "H1 preconditioner", ops.mesh)
     h1_step = 1.0
     newton_steps = rejected = 0  # rejected: last step whose Newton try failed
     for iteration in range(1, config.max_iterations + 1):

@@ -454,7 +454,7 @@ class TestExitCodes:
         # exactly singular matrix.
         prelude = (
             "import warnings, numpy as np, scipy.sparse.linalg as spla\n"
-            "def spsolve(matrix, rhs):\n"
+            "def spsolve(matrix, rhs, **options):\n"
             "    warnings.warn('Matrix is exactly singular', spla.MatrixRankWarning,"
             " stacklevel=2)\n"
             "    return np.full(len(rhs), np.nan)\n"

@@ -13,7 +13,7 @@ import scipy.sparse.linalg as spla
 
 import liouvillelab as L
 from liouvillelab.errors import NumericError
-from liouvillelab.mesh import _solve
+from liouvillelab.mesh import FOUR_PI, _factor, _ordering, _solve
 
 SRC = Path(L.__file__).parent
 SOLVERS = {"spsolve", "splu"}
@@ -36,7 +36,7 @@ def _patch_spsolve(monkeypatch, kind, good_calls):
     fail = _failing(kind)
     calls = []
 
-    def spsolve(matrix, rhs):
+    def spsolve(matrix, rhs, **options):
         calls.append(matrix)
         return np.zeros(np.shape(rhs)) if len(calls) <= good_calls else fail(rhs)
 
@@ -52,7 +52,7 @@ class _FailingLU:
 
 
 def _patch_splu(monkeypatch, kind, good_calls):
-    monkeypatch.setattr(spla, "splu", lambda matrix: _FailingLU(kind))
+    monkeypatch.setattr(spla, "splu", lambda matrix, **options: _FailingLU(kind))
 
 
 def _band(ops):
@@ -137,6 +137,82 @@ def test_singular_green_system_emits_no_warning(ops2):
         with pytest.raises(NumericError, match="Matrix is exactly singular"):
             L.solve_green(_singular(ops2), 0)
     assert caught == []
+
+
+def test_singular_green_system_is_one_error_from_either_helper(ops2):
+    # The bordered system in the mesh order, factored once or solved once.
+    ops = _singular(ops2)
+    column = ops.mass[:, None] / FOUR_PI
+    system = sp.bmat([[ops.stiffness, column], [column.T, None]])
+    rhs = np.ones(system.shape[0])
+    with warnings.catch_warnings(record=True) as caught:
+        with pytest.raises(NumericError, match="exactly singular"):
+            _solve(system, rhs, "Green system", ops.mesh)
+        with pytest.raises(NumericError, match="exactly singular"):
+            _factor(system, "Green system", ops.mesh)(rhs)
+    assert caught == []
+
+
+def test_ordering_is_a_cached_permutation(ops3):
+    order = _ordering(ops3.mesh)
+    assert np.array_equal(np.sort(order), np.arange(ops3.mesh.num_vertices))
+    assert _ordering(ops3.mesh) is order
+
+
+class _Handed(Exception):
+    pass
+
+
+def _handed(monkeypatch, solver, entry, ops):
+    # The first matrix the entry hands to spla.<solver>; the entry stops there.
+    handed = []
+
+    def record(matrix, *args, **options):
+        handed.append(matrix)
+        raise _Handed
+
+    monkeypatch.setattr(spla, solver, record)
+    with pytest.raises(_Handed):
+        entry(ops)
+    monkeypatch.undo()
+    return handed[0]
+
+
+# site -> (SciPy routine, call of the public entry that reaches it first);
+# the minimizer reaches its Newton spsolve after its preconditioner's splu.
+MESH_SITES = {
+    "flow": ("spsolve", SITES["flow"][2]),
+    "green": ("spsolve", SITES["green"][2]),
+    "mean_field_newton": ("spsolve", SITES["mean_field_newton"][2]),
+    "minimizer_newton": ("spsolve", SITES["minimizer_preconditioner"][2]),
+    "minimizer_preconditioner": ("splu", SITES["minimizer_preconditioner"][2]),
+    "ascent_metric": ("splu", SITES["ascent_metric"][2]),
+}
+
+
+def test_green_border_is_ordered_last(ops3, monkeypatch):
+    handed = _handed(monkeypatch, "spsolve", MESH_SITES["green"][1], ops3)
+    border = handed[-1, :-1].toarray().ravel()
+    assert np.array_equal(border, ops3.mass[_ordering(ops3.mesh)] / FOUR_PI)
+
+
+@pytest.mark.parametrize("site", sorted(MESH_SITES))
+def test_mesh_sites_factor_in_the_mesh_order(ops3, monkeypatch, site):
+    solver, entry = MESH_SITES[site]
+    handed = _handed(monkeypatch, solver, entry, ops3)
+    order = _ordering(ops3.mesh)
+    order = np.concatenate([order, np.arange(len(order), handed.shape[0])])
+    inverse = np.argsort(order)
+    matrix = handed.tocsr()[inverse][:, inverse].tocsc()  # the caller's matrix
+    # COLAMD on the caller's matrix: 38.3k at level 3; the vertex order 135k.
+    assert spla.splu(handed, permc_spec="NATURAL").nnz <= spla.splu(matrix).nnz
+    rhs = np.random.default_rng(0).standard_normal(matrix.shape[0])
+    expected = spla.spsolve(matrix, rhs)
+    if solver == "spsolve":
+        solution = _solve(matrix, rhs, site, ops3.mesh)
+    else:
+        solution = _factor(matrix, site, ops3.mesh)(rhs)
+    assert np.abs(solution - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
 def _sparse_solver_uses():
