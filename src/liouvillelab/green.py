@@ -206,16 +206,35 @@ def bubble_checks(R: float, quadrature_n: int = 2001) -> BubbleReport:
     residual = np.abs(-laplacian - EIGHT_PI * np.exp(_bubble_radial(rho)))
     pde_residual_max = float(residual.max())
 
+    # Over [0, 1/sqrt(pi)] in s, the rest in t = ln s: in s the adaptive
+    # rule steps over the peak at the origin once R is large, while in t
+    # both densities are smooth and bounded for every R.  With y = pi s^2
+    # they are 2 y/(1+y)^2 and 32 pi (y/(1+y))^2, written not to overflow
+    # (y is finite wherever the closed forms are).
     def mass_density(s):
         return 2.0 * np.pi * s * np.exp(_bubble_radial(np.asarray(s)))
 
     def dirichlet_density(s):
         return 2.0 * np.pi * s * (4.0 * np.pi * s / (1.0 + np.pi * s * s)) ** 2
 
+    def mass_density_log(t):
+        y = np.exp(2.0 * t + np.log(np.pi))
+        return 2.0 / ((1.0 + y) * (1.0 + 1.0 / y))
+
+    def dirichlet_density_log(t):
+        return 32.0 * np.pi / (1.0 + np.exp(-2.0 * t - np.log(np.pi))) ** 2
+
+    split = min(R, 1.0 / np.sqrt(np.pi))
+
+    def integral(near, far):
+        near_val, near_err = quad(near, 0.0, split, epsabs=1e-12, epsrel=1e-12)
+        far_val, far_err = quad(far, np.log(split), np.log(R), epsabs=1e-12, epsrel=1e-12)
+        return near_val + far_val, near_err + far_err
+
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", IntegrationWarning)
-        mass_val, mass_err = quad(mass_density, 0.0, R, epsabs=1e-12, epsrel=1e-12)
-        dir_val, dir_err = quad(dirichlet_density, 0.0, R, epsabs=1e-12, epsrel=1e-12)
+        mass_val, mass_err = integral(mass_density, mass_density_log)
+        dir_val, dir_err = integral(dirichlet_density, dirichlet_density_log)
     # SciPy's messages span several lines; each becomes one clause.
     texts = dict.fromkeys(" ".join(str(w.message).split()) for w in caught)
     notes = "".join(f"; quadrature warned: {text}" for text in texts)

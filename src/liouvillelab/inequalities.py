@@ -10,6 +10,7 @@ reported ``worst_seed``.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -198,19 +199,26 @@ def _tangent_project(ops, g):
     return g - scale * k_field
 
 
-def _ascend(ops, u0, kappa, solve_metric, cap):
+def _ascend(ops, u0, kappa, metrics, cap):
     """Maximize ln int e^u - kappa u^T S u over the pairing constraint.
 
-    Projected ascent in the Sobolev metric 2 kappa S + M: solve_metric
-    applies the inverse, which flattens the 1/h^2 stiffness conditioning
-    that stalls plain gradient steps on fine meshes.  Doubling/backtracking
-    line search; stops on a small tangent gradient or a stagnant value
-    window.  Returns (best value, iterations used, diverged flag).
+    Projected ascent whose step solves a metric against the gradient:
+    ``metrics`` lists inverse-metric solves in order of preference.  The
+    first is the negative Hessian at the constant maximizer, a Newton-like
+    step that flattens both the 1/h^2 stiffness conditioning and the
+    functional's curvature; it is positive only while 2 kappa lambda_1 >
+    1/A.  A step whose slope in the current metric is <= 0 switches the
+    trial to the next metric (the Sobolev metric 2 kappa S + M, positive
+    everywhere) for the rest of the trial; with no metric left the trial
+    ends.  Doubling/backtracking line search; stops on a small tangent
+    gradient, a stagnant value window or a failed line search.  Returns
+    (best value, accepted steps, diverged flag).
     """
     u = project_constraint(ops, u0)
     value = log_volume(ops, u) - kappa * float(u @ (ops.stiffness @ u))
     step = 1.0
     anchor = value
+    metric = 0
     for it in range(cap):
         if value > _DIVERGENCE_THRESHOLD:
             return value, it, True
@@ -224,9 +232,12 @@ def _ascend(ops, u0, kappa, solve_metric, cap):
         grad = _tangent_project(ops, grad)
         if mass_norm(ops, grad) < 1e-10 * max(1.0, abs(value)):
             return value, it, False
-        direction = _tangent_project(ops, solve_metric(grad * ops.mass))
-        slope = float((direction * grad) @ ops.mass)
-        if slope <= 0:
+        for metric in range(metric, len(metrics)):
+            direction = _tangent_project(ops, metrics[metric](grad * ops.mass))
+            slope = float((direction * grad) @ ops.mass)
+            if slope > 0:
+                break
+        else:
             return value, it, False
         gain = 1e-4 * slope
         step = min(step * 2.0, 1e3)
@@ -254,16 +265,43 @@ def check_global_mt(
     Gradient ascent from a zero start plus ``trials - 1`` random band-field
     starts; the pass condition is that no ascent crosses the divergence
     threshold.  The best value found is the empirical log-supremum
-    constant, reported in parameters["sup_value"].  On the round sphere
-    the supremum is ln(4 pi), attained by constants.
+    constant, reported in parameters["sup_value"], and worst_seed is the
+    first trial that reached it.  On the round sphere the supremum is
+    ln(4 pi), attained by constants, and every trial ends there to
+    roundoff, so worst_seed is a roundoff tie-break.
+
+    The ascent steps in the negative Hessian at the constant,
+    H = K + (2/A^2) m m^T with K = 2 kappa S - diag(m)/A and A the total
+    area.  K is indefinite (-1/A on constants) and is factored once per
+    suite; since S 1 = 0, K^-1 m = -A 1, so Sherman-Morrison gives
+    H^-1 b = K^-1 b - (2/A)(m^T K^-1 b) 1 with no further solve.  A trial
+    whose step has a nonpositive slope in H (H is positive only while
+    2 kappa lambda_1 > 1/A, which strong backgrounds can break) continues in
+    the Sobolev metric 2 kappa S + M, factored at most once per suite and
+    only when a trial needs it.
     """
     if not 0 < epsilon < np.inf:
         raise ParameterError(f"epsilon must be positive and finite, got {epsilon}")
     if trials < 1:
         raise ParameterError("trials must be >= 1")
     kappa = 1.0 / SIXTEEN_PI + epsilon
-    metric = 2.0 * kappa * ops.stiffness + sp.diags(ops.mass)
-    solve_metric = _factor(metric, "ascent metric", ops.mesh)
+    area = ops.total_area
+    solve_k = _factor(
+        2.0 * kappa * ops.stiffness - sp.diags(ops.mass / area),
+        "ascent metric",
+        ops.mesh,
+    )
+
+    def solve_hessian(rhs):
+        x = solve_k(rhs)
+        return x - (2.0 / area) * float(ops.mass @ x)
+
+    @functools.cache
+    def sobolev_factor():
+        metric = 2.0 * kappa * ops.stiffness + sp.diags(ops.mass)
+        return _factor(metric, "ascent Sobolev metric", ops.mesh)
+
+    metrics = (solve_hessian, lambda rhs: sobolev_factor()(rhs))
     best_value, best_seed = -np.inf, sample_seed(seed, 0)
     rows = []
     total_iterations = 0
@@ -277,7 +315,7 @@ def check_global_mt(
             bands = int(rng.integers(3, 12))
             amp = float(rng.uniform(0.3, 2.0))
             u0 = random_band_field(ops.mesh, s_i, bands, amp)
-        value, iters, diverged = _ascend(ops, u0, kappa, solve_metric, _ASCENT_CAP)
+        value, iters, diverged = _ascend(ops, u0, kappa, metrics, _ASCENT_CAP)
         total_iterations += iters
         diverged_any = diverged_any or diverged
         rows.append((s_i, _DIVERGENCE_THRESHOLD - value))

@@ -385,13 +385,19 @@ def disk_min_dirichlet(
                 break
             hess = 2.0 * interior - sp.diags(4.0 * mu * q[:n] * e2w[:n])
             column = -2.0 * (q[:n] * e2w[:n])
-            kkt = sp.bmat([[hess, column[:, None]], [-column[None, :], None]])
-            delta = _solve(kkt, -np.concatenate([grad_w, [gap]]), "disk Newton step")
+            # KKT system [[hess, column], [-column^T, 0]] by its Schur
+            # complement: one tridiagonal solve for both right-hand sides
+            # keeps the border out of the pivoting.
+            y, z = _solve(
+                hess, np.column_stack([-grad_w, column]), "disk Newton step"
+            ).T
+            d_mu = (column @ y - gap) / (column @ z)
+            d_w = y - d_mu * z
             damping = 1.0
             while damping >= _STEP_FLOOR:
                 w_try = w.copy()
-                w_try[:n] += damping * delta[:n]
-                mu_try = mu + damping * delta[n]
+                w_try[:n] += damping * d_w
+                mu_try = mu + damping * d_mu
                 e2w_t = np.exp(2.0 * w_try)
                 g_t = 2.0 * (form @ w_try)[:n] - 2.0 * mu_try * q[:n] * e2w_t[:n]
                 gap_t = (q * e2w_t).sum() - a_stage

@@ -116,7 +116,9 @@ def test_criterion_4_inequality_suites(ops5):
     local = check_local_mt(1.0, 1000, 0)
     margins["local_bound"] = local.worst_margin
 
+    ascent_start = time.perf_counter()
     ascent = check_global_mt(ops5, 0.1, 1000, 0)
+    ascent_seconds = time.perf_counter() - ascent_start
     assert not ascent.parameters["diverged"]
     assert ascent.worst_margin > 0.0
 
@@ -135,7 +137,8 @@ def test_criterion_4_inequality_suites(ops5):
     assert elapsed < 600.0, f"suites took {elapsed:.0f}s"
     print(
         f"criterion 4: PASS 1000-sample suites, worst margin {worst:.2e}, "
-        f"ascent sup {ascent.parameters['sup_value']:.6f} bounded, "
+        f"ascent sup {ascent.parameters['sup_value']:.6f} bounded "
+        f"({ascent_seconds:.0f}s, {ascent.parameters['total_iterations']} steps), "
         f"{elapsed:.0f}s total"
     )
 

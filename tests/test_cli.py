@@ -433,15 +433,31 @@ class TestExitCodes:
             cli._write_json(tmp_path / "bubble.json", {"mass_integral": float("nan")})
         assert not (tmp_path / "bubble.json").exists()
 
-    def test_missed_bubble_peak_is_numeric_failure(self, tmp_path, capsys):
+    @pytest.mark.parametrize("R", [1e5, 1e6])
+    def test_large_bubble_radius_succeeds(self, tmp_path, R):
+        assert run(["bubble", "--R", R, "--out", tmp_path]) == 0
+        info = json.loads((tmp_path / "bubble.json").read_text())
+        assert info["mass_integral"] == pytest.approx(info["mass_closed_form"], rel=1e-15)
+
+    def test_missed_bubble_peak_is_numeric_failure(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("liouvillelab.green.quad", lambda *args, **options: (0.0, 0.0))
         assert run(["bubble", "--R", 1e6, "--out", tmp_path]) == 4
         assert "closed form" in capsys.readouterr().err
         assert not (tmp_path / "bubble.json").exists()
 
     def test_missed_bubble_peak_stderr_is_one_typed_line(self, tmp_path):
-        # SciPy's IntegrationWarning is folded into the error message
+        # A quadrature that steps over the peak and warns the way SciPy's
+        # does; the IntegrationWarning is folded into the error message
         # instead of printing ahead of it.
-        proc = run_module(["bubble", "--R", "1e6", "--out", tmp_path])
+        prelude = (
+            "import warnings, scipy.integrate, liouvillelab.green\n"
+            "def quad(func, a, b, **options):\n"
+            "    warnings.warn('The integral is probably divergent, or slowly"
+            " convergent.', scipy.integrate.IntegrationWarning, stacklevel=2)\n"
+            "    return 0.0, 0.0\n"
+            "liouvillelab.green.quad = quad\n"
+        )
+        proc = run_module(["bubble", "--R", "1e6", "--out", tmp_path], prelude)
         assert proc.returncode == 4
         lines = proc.stderr.splitlines()
         assert len(lines) == 1

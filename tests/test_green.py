@@ -1,7 +1,10 @@
 """Green-function solver, bubble quadrature, and rescale diagnostics."""
 
+import warnings
+
 import numpy as np
 import pytest
+from scipy.integrate import IntegrationWarning
 
 import liouvillelab as L
 from liouvillelab.errors import DataError, NumericError, ParameterError, ResolutionError
@@ -9,6 +12,17 @@ from liouvillelab.mesh import geodesic_distances
 
 A_ROUND = 4.0 * np.log(2.0) - 2.0
 ROUND_ENERGY = -8.0 * np.pi * np.log(4.0 * np.pi)
+
+
+def _peak_missing_quad(func, a, b, **options):
+    # What an adaptive rule reports when it never samples a narrow peak:
+    # nothing, with SciPy's divergence warning and a small error estimate.
+    warnings.warn(
+        "The integral is probably divergent, or slowly convergent.",
+        IntegrationWarning,
+        stacklevel=2,
+    )
+    return 0.0, 0.0
 
 
 def _hops_from(ops, source):
@@ -163,15 +177,27 @@ class TestBubbleChecks:
                 L.bubble_mass_closed_form(R), abs=1e-10
             )
 
-    def test_missed_peak_is_numeric_failure(self):
-        # At R = 1e6 the adaptive rule never samples the peak near the
-        # origin and reports a mass near 0 against a closed form near 1.
+    @pytest.mark.parametrize("R", [1e5, 1e6, 1e30])
+    def test_large_radius_matches_closed_forms(self, R, recwarn):
+        # Past 1/sqrt(pi) the integrals run in ln s, so the peak at the
+        # origin is never stepped over.
+        report = L.bubble_checks(R)
+        mass, dirichlet = L.bubble_mass_closed_form(R), L.bubble_dirichlet_closed_form(R)
+        assert abs(report.mass_integral - mass) <= 1e-15 * mass
+        assert abs(report.dirichlet_integral - dirichlet) <= 1e-15 * dirichlet
+        assert len(recwarn) == 0
+
+    def test_missed_peak_is_numeric_failure(self, monkeypatch):
+        # A quadrature that steps over the peak reports a mass near 0
+        # against a closed form near 1.
+        monkeypatch.setattr("liouvillelab.green.quad", _peak_missing_quad)
         with pytest.raises(NumericError, match="mass quadrature"):
             L.bubble_checks(1e6)
 
     @pytest.mark.parametrize("R", [1e5, 1e6, 1e100])
-    def test_quadrature_warning_is_recorded_in_the_error(self, R, recwarn):
+    def test_quadrature_warning_is_recorded_in_the_error(self, R, recwarn, monkeypatch):
         # Nothing is printed; SciPy's text travels in the one-line message.
+        monkeypatch.setattr("liouvillelab.green.quad", _peak_missing_quad)
         with pytest.raises(NumericError, match="; quadrature warned: ") as info:
             L.bubble_checks(R)
         assert "\n" not in str(info.value)

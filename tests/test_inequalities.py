@@ -104,6 +104,14 @@ class TestDiskGap:
         fine = disk_floor_gap(2.0 * np.pi, 0.0, 1.0, grid_n=4096).worst_margin
         assert abs(fine) < 0.3 * abs(coarse)
 
+    def test_large_t_margin(self):
+        # The border's entries q e^{2w} outgrow the tridiagonal block here, so
+        # a pivoted LU of the bordered system takes the border as pivot row
+        # and fills in; the Schur complement never factors the border.
+        # Pinned to the bordered LU's margin.
+        rep = disk_floor_gap(1614.0 * np.pi, 0.0, 1.0)
+        assert abs(rep.worst_margin - (-1.343088852792107e-04)) <= 1e-9
+
     def test_depends_on_t_only(self):
         # same t reached through different (a, b, r) gives the same margin
         rep1 = disk_floor_gap(2.0 * np.pi, 0.0, 1.0)
@@ -120,6 +128,36 @@ class TestGlobalBound:
         assert not rep.parameters["diverged"]
         assert rep.parameters["sup_value"] == pytest.approx(LN_FOUR_PI, rel=0.01)
         assert rep.worst_margin > 0.0
+
+    def test_round_ascent_is_one_factor_and_few_steps(self, ops3, monkeypatch):
+        # The negative Hessian at the constant is the ascent metric: 105
+        # accepted steps here, where the Sobolev metric 2 kappa S + M took
+        # 420.  No step needs the Sobolev fallback, so it is never factored.
+        factored = []
+        splu = spla.splu
+
+        def counting_splu(matrix, **options):
+            factored.append(matrix)
+            return splu(matrix, **options)
+
+        monkeypatch.setattr(spla, "splu", counting_splu)
+        rep = check_global_mt(ops3, 0.1, 4, 11)
+        assert rep.parameters["total_iterations"] <= 150
+        assert len(factored) == 1
+        assert rep.parameters["sup_value"] == pytest.approx(LN_FOUR_PI, abs=1e-12)
+
+    def test_strong_background_switches_to_the_sobolev_metric(self):
+        # Band amplitude 1.5: 2 kappa lambda_1 = 0.056 < 1/A = 0.080, so the
+        # Hessian metric is indefinite on mean-zero fields.  Its slope turns
+        # nonpositive a few dozen steps in, 7.4e-3 below the supremum; the
+        # trial must finish in the Sobolev metric.  The pinned value is the
+        # Sobolev-only ascent's.
+        mesh = L.build_icosphere(3)
+        phi = L.random_band_field(mesh, 2, 6, 1.5)
+        ops = L.assemble_operators(L.set_conformal_background(mesh, phi, normalize=True))
+        rep = check_global_mt(ops, 0.01, 1, 0)
+        assert not rep.parameters["diverged"]
+        assert abs(rep.parameters["sup_value"] - 3.9530319828851956) <= 1e-9
 
     def test_bumpy_stays_bounded(self, bumpy3):
         rep = check_global_mt(bumpy3, 0.1, 4, 11)
