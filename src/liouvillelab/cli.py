@@ -325,9 +325,9 @@ def _write_result(out: _Artifacts, ops, result, figure, series, column, **labels
     """v_field.csv, trace.csv and result.json, then the trace figure.
 
     The figure plots trace column ``column`` (1 energy, 2 residual) against
-    the step.  Every trace row's norm is an Euler-Lagrange residual: the
-    mean-field Newton residual, or the minimizer's gradient norm at u, which
-    equals the residual at the unit-volume shift of u.
+    the step.  Every trace row's norm is the minimizer's gradient norm at u,
+    which equals the Euler-Lagrange residual at the unit-volume shift of u;
+    ``mean-field`` runs the same minimizer.
     """
     rows = result.iterations
     out.field("v_field.csv", result.v_field)

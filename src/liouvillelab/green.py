@@ -197,9 +197,9 @@ def bubble_checks(R: float, quadrature_n: int = 2001) -> BubbleReport:
     rho = np.linspace(0.0, R, int(quadrature_n))
     denom = 1.0 + np.pi * rho * rho
     d1 = -4.0 * np.pi * rho / denom
-    # denom**2 saturates to inf past R ~ 1e77, where d2 -> 0 is its limit.
-    with np.errstate(over="ignore"):
-        d2 = -4.0 * np.pi * (1.0 - np.pi * rho * rho) / denom**2
+    # 1 - pi rho^2 = 2 - denom; in this form nothing squares denom, so d2
+    # stays finite wherever the closed forms are.
+    d2 = -4.0 * np.pi * (2.0 / denom - 1.0) / denom
     laplacian = np.empty_like(rho)
     laplacian[0] = 2.0 * d2[0]  # radial limit: phi'/rho -> phi''(0)
     laplacian[1:] = d2[1:] + d1[1:] / rho[1:]

@@ -43,7 +43,7 @@ FOUR_PI = 4.0 * np.pi
 # Per-vertex real array aligned with mesh.vertices.
 ScalarField = np.ndarray
 
-_MAX_LEVEL = 8
+_MAX_LEVEL = 7  # 163842 vertices; one Green solve there peaks near 490 MB
 _UNIT_NORM_TOL = 1e-12
 _MIN_ANGLE_DEG = 1.0
 _LEAF_SIZE = 32  # nested-dissection parts this small are not split
@@ -371,7 +371,7 @@ def build_icosphere(level: int) -> TriangulatedSphere:
     """Geodesic icosphere at a given subdivision level.
 
     Level 0 is the icosahedron (12 vertices); each level quadruples the
-    face count, giving V = 2 + 10*4^level.  Levels above 8 are refused.
+    face count, giving V = 2 + 10*4^level.  Levels above 7 are refused.
     """
     if not isinstance(level, (int, np.integer)) or isinstance(level, bool):
         raise ParameterError("level must be an integer")

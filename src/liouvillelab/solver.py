@@ -30,10 +30,11 @@ class SolverConfig:
     """Parameters of :func:`minimize_perturbed` and :func:`solve_mean_field`.
 
     gradient_tolerance is the mass-norm stopping threshold, relative to
-    max(1, |energy|) for the minimizer and to 8*pi for the mean-field
-    residual.  max_iterations caps every step the solver takes: H1 and
-    Newton steps together for the minimizer, Newton steps for the mean-field
-    solve.
+    max(1, |energy|); :func:`solve_mean_field` sets it to 8*pi times its
+    own tolerance and checks its residual against that bound.
+    max_iterations caps every step the solver takes, H1 and Newton steps
+    together.  The mean-field solve runs the same minimizer, so it returns
+    the constrained minimizer, not a saddle point.
     """
 
     epsilon: float
@@ -56,8 +57,8 @@ class MinimizerResult:
     the same critical point normalized to unit exponential volume, so it
     solves the mean-field equation.  iterations holds (step, energy,
     gradient_norm) rows, one for the start and one per step; every
-    gradient_norm is a mass-norm Euler-Lagrange residual (for the minimizer,
-    at the unit-volume shift of the row's iterate).  polish_steps is the
+    gradient_norm is the mass-norm Euler-Lagrange residual at the
+    unit-volume shift of the row's iterate.  polish_steps is the
     number of Newton steps among them; the name is kept for the artifacts
     that read it.
     """
@@ -110,106 +111,6 @@ def _newton_direction(ops, epsilon, u, grad):
         return _solve(jac, -(grad * ops.mass), "minimizer Newton step", ops.mesh)
     except NumericError:
         return None
-
-
-def _newton_mean_field(ops, epsilon, v0, tolerance, max_iterations):
-    """Damped Newton iteration on the mean-field residual.
-
-    Steps are accepted on residual decrease (the Jacobian is indefinite, so
-    the energy is not the merit function here).  Far from the solution the
-    plain Newton direction can be dominated by the three near-null conformal
-    modes of the Jacobian (eigenvalue ~ epsilon/4pi); when step halving
-    collapses, the direction is recomputed from the regularized normal
-    equations (Levenberg style), which always descends the residual norm.
-    The regularization decays to zero on full steps, restoring the
-    quadratic tail.  Returns (v, trace) where trace rows are (iteration,
-    energy, residual_norm).  Raises NumericError if the damping floor is
-    hit, ConvergenceError if the iteration budget runs out.
-    """
-    beta = EIGHT_PI - epsilon
-
-    def energy_at(v):
-        return perturbed_functional(
-            ops, project_constraint(ops, v), epsilon
-        ).total
-
-    v = np.asarray(v0, dtype=np.float64).copy()
-    residual = _el_residual(ops, v, epsilon)
-    res_norm = mass_norm(ops, residual)
-    trace = [(0, energy_at(v), res_norm)]
-    lam = 0.0
-    lam_floor, lam_cap = 1e-2, 1e8
-    for it in range(1, max_iterations + 1):
-        if res_norm <= tolerance:
-            return v, trace
-        jac = ops.stiffness - sp.diags(beta * np.exp(v) * ops.mass)
-        if lam == 0.0:
-            matrix, rhs = jac, -(residual * ops.mass)
-        else:
-            normal = jac @ sp.diags(1.0 / ops.mass) @ jac
-            matrix, rhs = normal + sp.diags(lam * ops.mass), -(jac @ residual)
-        step = _solve(matrix, rhs, "mean-field Newton step", ops.mesh)
-        damping = 1.0
-        while damping >= _STEP_FLOOR:
-            # An overflowing trial has an inf or NaN norm and fails the test.
-            with np.errstate(over="ignore", invalid="ignore"):
-                v_try = v + damping * step
-                res_try = _el_residual(ops, v_try, epsilon)
-                res_try_norm = mass_norm(ops, res_try)
-            if res_try_norm < res_norm:
-                break
-            damping *= 0.5
-        else:
-            if lam < lam_cap:
-                lam = min(max(10.0 * lam, lam_floor), lam_cap)
-                continue  # retry this iterate with a stiffer system
-            raise NumericError(
-                f"mean-field damping floor reached at residual {res_norm:.3e}",
-                trace=trace,
-            )
-        if damping == 1.0:
-            lam = 0.0 if lam <= lam_floor else 0.1 * lam
-        elif damping <= 0.0625 and lam < lam_cap:
-            lam = min(max(10.0 * lam, lam_floor), lam_cap)
-        v, residual, res_norm = v_try, res_try, res_try_norm
-        trace.append((it, energy_at(v), res_norm))
-    raise ConvergenceError(
-        f"mean-field Newton did not reach {tolerance:.1e} "
-        f"in {max_iterations} iterations (residual {res_norm:.3e})",
-        best=v,
-        trace=trace,
-    )
-
-
-def solve_mean_field(
-    ops: DiscreteOperators,
-    epsilon: float,
-    initial: np.ndarray | None = None,
-    tolerance: float = 1e-10,
-    max_iterations: int = 100,
-) -> MinimizerResult:
-    """Solve -Delta v + (beta/4pi) K = beta exp(v), int exp(v) dV = 1.
-
-    Newton with residual-monotone step halving; ``tolerance`` is relative
-    (the residual mass-norm is compared against tolerance * 8*pi).  The
-    default start is the constant field with unit exponential volume, which
-    on a round background is already the exact solution.  The returned
-    v_field satisfies the unit volume normalization to solver precision.
-    """
-    # Validates epsilon, tolerance and max_iterations before any work.
-    config = SolverConfig(
-        epsilon=epsilon, max_iterations=max_iterations, gradient_tolerance=tolerance
-    )
-    if initial is None:
-        v0 = np.full(ops.mass.shape, -np.log(ops.total_area))
-    else:
-        v0 = _check_field(ops, initial)
-        v0 = v0 - log_volume(ops, v0)
-    v, trace = _newton_mean_field(
-        ops, epsilon, v0, tolerance * EIGHT_PI, max_iterations
-    )
-    v = v - log_volume(ops, v)  # re-center; drift is at roundoff level
-    return _package_result(ops, config, v, trace, len(trace) - 1)
 
 
 def _package_result(ops, config, v, rows, newton_steps):
@@ -308,6 +209,49 @@ def minimize_perturbed(
         raise ConvergenceError(
             f"gradient norm {final_norm:.3e} above tolerance {tolerance:.3e}",
             best=result,
+            trace=result.iterations,
+        )
+    return result
+
+
+def solve_mean_field(
+    ops: DiscreteOperators,
+    epsilon: float,
+    initial: np.ndarray | None = None,
+    tolerance: float = 1e-10,
+    max_iterations: int = 100,
+) -> MinimizerResult:
+    """Solve -Delta v + (beta/4pi) K = beta exp(v), int exp(v) dV = 1.
+
+    The solution returned is the constrained minimizer of the perturbed
+    functional, found by :func:`minimize_perturbed` from ``initial``, not a
+    saddle point.  ``tolerance`` is relative: the residual mass-norm is
+    compared against tolerance * 8*pi.  The default start is the constant
+    field with unit exponential volume, which on a round background is
+    already the exact solution.  The returned v_field satisfies the unit
+    volume normalization to solver precision.  Raises ConvergenceError with
+    the best v-field and the trace attached if the residual misses the
+    tolerance.
+    """
+    # Validates epsilon, tolerance and max_iterations before any work.
+    config = SolverConfig(
+        epsilon=epsilon,
+        max_iterations=max_iterations,
+        gradient_tolerance=tolerance * EIGHT_PI,
+    )
+    if initial is None:
+        initial = np.full(ops.mass.shape, -np.log(ops.total_area))
+    try:
+        result = minimize_perturbed(ops, config, initial)
+    except ConvergenceError as exc:
+        result = exc.best
+    # The minimizer's final test is relative to max(1, |energy|).
+    if not result.el_residual <= config.gradient_tolerance:  # also catches NaN
+        raise ConvergenceError(
+            f"mean-field residual {result.el_residual:.3e} above "
+            f"{config.gradient_tolerance:.1e} after {len(result.iterations) - 1} "
+            "steps",
+            best=result.v_field,
             trace=result.iterations,
         )
     return result

@@ -177,7 +177,7 @@ class TestBubbleChecks:
                 L.bubble_mass_closed_form(R), abs=1e-10
             )
 
-    @pytest.mark.parametrize("R", [1e5, 1e6, 1e30])
+    @pytest.mark.parametrize("R", [1e5, 1e6, 1e30, 7e153])
     def test_large_radius_matches_closed_forms(self, R, recwarn):
         # Past 1/sqrt(pi) the integrals run in ln s, so the peak at the
         # origin is never stepped over.

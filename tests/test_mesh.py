@@ -45,7 +45,7 @@ def test_vertices_on_unit_sphere():
 
 
 def test_build_rejects_bad_levels():
-    for bad in (-1, 9, 1.5, "2", True):
+    for bad in (-1, 8, 9, 1.5, "2", True):
         with pytest.raises(ParameterError):
             build_icosphere(bad)
 

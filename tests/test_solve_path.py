@@ -30,15 +30,14 @@ def _failing(kind):
     return result
 
 
-def _patch_spsolve(monkeypatch, kind, good_calls):
-    # The first good_calls solves return a zero step, which no damping can
-    # accept; the next one fails.  Returns the matrices passed in.
+def _patch_spsolve(monkeypatch, kind):
+    # Every solve fails.  Returns the matrices passed in.
     fail = _failing(kind)
     calls = []
 
     def spsolve(matrix, rhs, **options):
         calls.append(matrix)
-        return np.zeros(np.shape(rhs)) if len(calls) <= good_calls else fail(rhs)
+        return fail(rhs)
 
     monkeypatch.setattr(spla, "spsolve", spsolve)
     return calls
@@ -51,7 +50,7 @@ class _FailingLU:
         self.solve = _failing(kind)
 
 
-def _patch_splu(monkeypatch, kind, good_calls):
+def _patch_splu(monkeypatch, kind):
     monkeypatch.setattr(spla, "splu", lambda matrix, **options: _FailingLU(kind))
 
 
@@ -59,32 +58,22 @@ def _band(ops):
     return L.random_band_field(ops.mesh, 0, 8, 0.5)
 
 
-# site -> (patch, good calls before the failure, call of the public entry, name)
+# site -> (patch, call of the public entry, name of the failing system)
 SITES = {
-    "flow": (_patch_spsolve, 0, lambda ops: L.run_flow(ops, _band(ops), 1.0), "flow step"),
-    "green": (_patch_spsolve, 0, lambda ops: L.solve_green(ops, 0), "Green system"),
-    "mean_field_newton": (
-        _patch_spsolve, 0,
-        lambda ops: L.solve_mean_field(ops, 0.5, initial=_band(ops)),
-        "mean-field Newton step",
-    ),
-    "mean_field_levenberg": (
-        _patch_spsolve, 1,
-        lambda ops: L.solve_mean_field(ops, 0.5, initial=_band(ops)),
-        "mean-field Newton step",
-    ),
+    "flow": (_patch_spsolve, lambda ops: L.run_flow(ops, _band(ops), 1.0), "flow step"),
+    "green": (_patch_spsolve, lambda ops: L.solve_green(ops, 0), "Green system"),
     "disk": (
-        _patch_spsolve, 0,
+        _patch_spsolve,
         lambda ops: L.disk_min_dirichlet(2.0, 0.3, 1.0, grid_n=256),
         "disk Newton step",
     ),
     "minimizer_preconditioner": (
-        _patch_splu, 0,
+        _patch_splu,
         lambda ops: L.minimize_perturbed(ops, L.SolverConfig(epsilon=0.5), _band(ops)),
         "H1 preconditioner",
     ),
     "ascent_metric": (
-        _patch_splu, 0,
+        _patch_splu,
         lambda ops: L.check_global_mt(ops, 0.1, trials=2, seed=0),
         "ascent metric",
     ),
@@ -94,30 +83,48 @@ SITES = {
 @pytest.mark.parametrize("kind", ["raise", "nan"])
 @pytest.mark.parametrize("site", sorted(SITES))
 def test_failed_solve_is_numeric_error_at_public_entry(ops2, monkeypatch, site, kind):
-    patch, good_calls, entry, what = SITES[site]
-    calls = patch(monkeypatch, kind, good_calls)
+    patch, entry, what = SITES[site]
+    patch(monkeypatch, kind)
     with pytest.raises(NumericError, match=what):
         entry(ops2)
-    if site == "mean_field_levenberg":
-        # The second solve is the regularized normal-equation system.
-        assert len(calls) == 2
-        assert (calls[1] != calls[0]).nnz > 0
 
 
-@pytest.mark.parametrize("kind", ["raise", "nan"])
-def test_failed_minimizer_newton_solve_falls_back_to_h1(ops2, monkeypatch, kind):
-    # The minimizer_newton site: a failed Newton solve only rejects that
-    # direction, and every step becomes an H1 step.  H1 alone crawls along
-    # the conformal modes, so the budget runs out: ConvergenceError, never a
-    # NumericError naming the Newton system.
-    calls = _patch_spsolve(monkeypatch, kind, 0)
-    config = L.SolverConfig(epsilon=0.5, max_iterations=100)
+_BUDGET = 100  # solve_mean_field's default max_iterations
+
+# site -> call of the public entry with a budget of _BUDGET steps
+NEWTON_SITES = {
+    "minimizer_newton": lambda ops: L.minimize_perturbed(
+        ops, L.SolverConfig(epsilon=0.5, max_iterations=_BUDGET), _band(ops)
+    ),
+    "mean_field_newton": lambda ops: L.solve_mean_field(ops, 0.5, initial=_band(ops)),
+}
+
+
+@pytest.mark.parametrize(
+    "site, kind",
+    [
+        ("minimizer_newton", "raise"),
+        ("minimizer_newton", "nan"),
+        ("mean_field_newton", "raise"),
+        ("mean_field_newton", "nan"),
+    ],
+    ids=["raise", "nan", "mean_field_newton-raise", "mean_field_newton-nan"],
+)
+def test_failed_minimizer_newton_solve_falls_back_to_h1(ops2, monkeypatch, site, kind):
+    # A failed Newton solve only rejects that direction, and every step
+    # becomes an H1 step.  H1 alone crawls along the conformal modes, so the
+    # budget runs out: ConvergenceError, never a NumericError naming the
+    # Newton system.  solve_mean_field runs the same loop.
+    calls = _patch_spsolve(monkeypatch, kind)
     with pytest.raises(L.ConvergenceError) as info:
-        L.minimize_perturbed(ops2, config, _band(ops2))
+        NEWTON_SITES[site](ops2)
     assert len(calls) > 1  # Newton was retried after the failure
-    assert info.value.best.polish_steps == 0
+    if site == "minimizer_newton":
+        assert info.value.best.polish_steps == 0
+    else:  # the best v-field; the trace carries the steps
+        assert np.isfinite(info.value.best).all()
     energies = [row[1] for row in info.value.trace]
-    assert len(energies) == config.max_iterations + 1
+    assert len(energies) == _BUDGET + 1
     assert all(b <= a for a, b in zip(energies, energies[1:]))
 
 
@@ -181,12 +188,12 @@ def _handed(monkeypatch, solver, entry, ops):
 # site -> (SciPy routine, call of the public entry that reaches it first);
 # the minimizer reaches its Newton spsolve after its preconditioner's splu.
 MESH_SITES = {
-    "flow": ("spsolve", SITES["flow"][2]),
-    "green": ("spsolve", SITES["green"][2]),
-    "mean_field_newton": ("spsolve", SITES["mean_field_newton"][2]),
-    "minimizer_newton": ("spsolve", SITES["minimizer_preconditioner"][2]),
-    "minimizer_preconditioner": ("splu", SITES["minimizer_preconditioner"][2]),
-    "ascent_metric": ("splu", SITES["ascent_metric"][2]),
+    "flow": ("spsolve", SITES["flow"][1]),
+    "green": ("spsolve", SITES["green"][1]),
+    "mean_field_newton": ("spsolve", NEWTON_SITES["mean_field_newton"]),
+    "minimizer_newton": ("spsolve", SITES["minimizer_preconditioner"][1]),
+    "minimizer_preconditioner": ("splu", SITES["minimizer_preconditioner"][1]),
+    "ascent_metric": ("splu", SITES["ascent_metric"][1]),
 }
 
 

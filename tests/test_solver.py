@@ -1,4 +1,4 @@
-"""Constrained minimization, mean-field Newton, and the radial disk problem."""
+"""Constrained minimization, the mean-field solve, and the radial disk problem."""
 
 import numpy as np
 import pytest
@@ -228,6 +228,30 @@ def test_mean_field_matches_minimizer_stationarity(bumpy3):
     # The minimizer's v-field solves the same equation the Newton path does.
     minimized = minimize_perturbed(bumpy3, SolverConfig(epsilon=0.25))
     assert minimized.el_residual < 1e-8
+
+
+def test_mean_field_reaches_the_minimizer_on_bumpy_at_small_epsilon(bumpy3):
+    # From the default constant start, where a residual-merit Newton spends
+    # its 100 steps and stops at residual 1.45e-2.
+    result = solve_mean_field(bumpy3, 0.25)
+    assert abs(result.energy - -66.75120335254773) <= 1e-9
+    assert result.el_residual < 1e-10 * EIGHT_PI
+
+
+def test_mean_field_on_bumpy_matches_the_newton_solution(bumpy3):
+    # Every 80th vertex and the peak of the v-field a residual-merit
+    # Newton iteration finds in 26 steps (energy -66.0254084855474).
+    newton_samples = [
+        -2.7866634572707603, -2.1711800030744866, -2.6052058863775005,
+        -2.6872887769391403, -3.032816592239314, -2.1438403597915636,
+        -3.1496239804506954, -2.463803328266217, -2.547507837269483,
+    ]
+    result = solve_mean_field(bumpy3, 0.5)
+    assert abs(result.energy - -66.0254084855474) <= 1e-10
+    assert np.abs(result.v_field[::80] - newton_samples).max() <= 1e-10
+    assert result.peak_vertex == 428
+    assert abs(result.peak_value - -1.6815590061862937) <= 1e-10
+    assert abs(result.v_field.min() - -3.1601135876546143) <= 1e-10
 
 
 def test_mean_field_budget_exhaustion(bumpy3):
