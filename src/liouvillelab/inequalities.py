@@ -16,7 +16,6 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 from scipy.integrate import cumulative_trapezoid, simpson
 
 from .energy import log_volume, onofri_deficit
@@ -25,6 +24,7 @@ from .mesh import (
     FOUR_PI,
     DiscreteOperators,
     _factor,
+    _lowest_modes,
     mobius_dilation_factor,
     random_band_field,
 )
@@ -397,20 +397,17 @@ def poincare_constant(
     if not np.isfinite(p) or p < 1:
         raise ParameterError("p must be >= 1")
     n = ops.mass.shape[0]
-    if modes >= n - 2:
-        raise ParameterError("modes too large for this mesh")
-    try:
-        vals, vecs = spla.eigsh(
-            ops.stiffness,
-            k=modes + 1,
-            M=sp.diags(ops.mass),
-            sigma=-0.5,
-            v0=np.ones(n),
-        )
-    except spla.ArpackError as exc:
-        raise NumericError(f"Poincare eigensolve failed: {exc}") from exc
-    order = np.argsort(vals)
-    vals, vecs = vals[order][1:], vecs[:, order][:, 1:]
+    integer = (int, np.integer)
+    if not (isinstance(modes, integer) and 1 <= modes <= n - 3):
+        raise ParameterError(f"modes must be an integer in [1, {n - 3}], got {modes!r}")
+    if not (isinstance(starts, integer) and starts >= 1):
+        raise ParameterError(f"starts must be an integer >= 1, got {starts!r}")
+    if not (isinstance(iterations, integer) and iterations >= 0):
+        raise ParameterError(f"iterations must be an integer >= 0, got {iterations!r}")
+    vals, vecs = _lowest_modes(
+        ops.stiffness, ops.mass, modes + 1, "Poincare eigensolve", ops.mesh
+    )
+    vals, vecs = vals[1:], vecs[:, 1:]
     if vals.min() <= 0:
         raise NumericError("nonpositive eigenvalue in the constrained pencil")
 

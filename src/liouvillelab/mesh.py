@@ -63,7 +63,9 @@ class TriangulatedSphere:
         Log conformal factor phi; the working metric is exp(phi)*g_round.
 
     Instances are treated as immutable; identity (not value) is used for
-    caching, so do not mutate the arrays in place.
+    caching, so do not mutate the arrays in place.  A geometry-only cache
+    entry is shared only by meshes that hold the same ``vertices`` and
+    ``faces`` objects: a mesh and its :func:`set_conformal_background` copies.
     """
 
     vertices: np.ndarray
@@ -246,16 +248,16 @@ def _unpermuted(solution, order):
 
 
 def _ordering(mesh: TriangulatedSphere) -> np.ndarray:
-    """Nested-dissection vertex order of the mesh graph, cached per mesh.
+    """Nested-dissection vertex order of the mesh graph, cached per geometry.
 
     Recursive coordinate bisection: split a part at the median of its
     widest coordinate; the separator is the lower-half vertices with a
     neighbour in the upper half.  The order is the lower half, the upper
     half, then the separator, down to parts of _LEAF_SIZE vertices.
     """
-    cached = _ORDER_CACHE.get(mesh)
-    if cached is not None:
-        return cached
+    record = _geometry(mesh)
+    if record.order is not None:
+        return record.order
     n = mesh.num_vertices
     # Adjacency lists, flat: the mesh is closed and oriented, so its
     # directed edges list each edge both ways.
@@ -288,7 +290,7 @@ def _ordering(mesh: TriangulatedSphere) -> np.ndarray:
     dissect(np.arange(n))
     order = np.concatenate(parts)
     order.flags.writeable = False
-    _ORDER_CACHE[mesh] = order
+    record.order = order
     return order
 
 
@@ -300,7 +302,7 @@ def _finite_solution(solution, what):
 
 @dataclass(eq=False)
 class _GeometricCore:
-    # Background-independent assembly products, cached per mesh identity.
+    # Background-independent assembly products.
     stiffness: sp.csr_matrix
     round_mass: np.ndarray
     flat_area: float
@@ -308,17 +310,19 @@ class _GeometricCore:
     mean_edge_length: float
 
 
-_CORE_CACHE: "weakref.WeakKeyDictionary[TriangulatedSphere, _GeometricCore]" = (
-    weakref.WeakKeyDictionary()
-)
-# mesh -> (lmax, eigenvalues, basis) for the aligned round eigenbasis
-_BASIS_CACHE: "weakref.WeakKeyDictionary[TriangulatedSphere, tuple]" = (
-    weakref.WeakKeyDictionary()
-)
-# mesh -> nested-dissection vertex order for sparse factorizations
-_ORDER_CACHE: "weakref.WeakKeyDictionary[TriangulatedSphere, np.ndarray]" = (
-    weakref.WeakKeyDictionary()
-)
+@dataclass(eq=False)
+class _Geometry:
+    # Everything cached for one (vertices, faces) pair, filled lazily.
+    core: _GeometricCore | None = None
+    order: np.ndarray | None = None  # nested-dissection vertex order
+    basis: tuple | None = None  # (lmax, eigenvalues, aligned round eigenbasis)
+
+
+_GEOMETRY = weakref.WeakKeyDictionary()  # mesh -> its geometry's _Geometry
+
+
+def _geometry(mesh: TriangulatedSphere) -> _Geometry:
+    return _GEOMETRY.setdefault(mesh, _Geometry())
 
 
 def _icosahedron() -> tuple[np.ndarray, np.ndarray]:
@@ -384,9 +388,9 @@ def build_icosphere(level: int) -> TriangulatedSphere:
 
 
 def _geometric_core(mesh: TriangulatedSphere) -> _GeometricCore:
-    core = _CORE_CACHE.get(mesh)
-    if core is not None:
-        return core
+    record = _geometry(mesh)
+    if record.core is not None:
+        return record.core
     v, f = mesh.vertices, mesh.faces
     p0, p1, p2 = v[f[:, 0]], v[f[:, 1]], v[f[:, 2]]
     cross = np.cross(p1 - p0, p2 - p0)
@@ -449,9 +453,8 @@ def _geometric_core(mesh: TriangulatedSphere) -> _GeometricCore:
     dots = np.einsum("ij,ij->i", v[edges[:, 0]], v[edges[:, 1]])
     mean_edge = float(np.arccos(np.clip(dots, -1.0, 1.0)).mean())
 
-    core = _GeometricCore(stiffness, round_mass, flat_area, correction, mean_edge)
-    _CORE_CACHE[mesh] = core
-    return core
+    record.core = _GeometricCore(stiffness, round_mass, flat_area, correction, mean_edge)
+    return record.core
 
 
 def assemble_operators(mesh: TriangulatedSphere) -> DiscreteOperators:
@@ -503,7 +506,9 @@ def set_conformal_background(
             float((np.exp(phi - shift) * core.round_mass).sum())
         )
         phi = phi + (np.log(FOUR_PI) - log_area)
-    return replace(mesh, background_factor=phi)
+    derived = replace(mesh, background_factor=phi)
+    _GEOMETRY[derived] = _geometry(mesh)
+    return derived
 
 
 def integrate(ops: DiscreteOperators, f: np.ndarray) -> float:
@@ -545,6 +550,25 @@ def _real_harmonics(verts: np.ndarray, lmax: int) -> np.ndarray:
     return np.stack(cols, axis=1)
 
 
+def _lowest_modes(stiffness, mass, k: int, what: str, mesh: TriangulatedSphere):
+    """The ``k`` lowest eigenpairs of ``S x = lambda diag(mass) x``, ascending.
+
+    Deterministic Lanczos (fixed starting vector) in shift-invert mode at
+    -1/2, with ``S + M/2`` factored once by _factor in the mesh order.
+    """
+    n, mass_mat = len(mass), sp.diags(mass)
+    solve = _factor(stiffness + 0.5 * mass_mat, what, mesh)
+    inverse = spla.LinearOperator((n, n), matvec=solve, dtype=np.float64)
+    try:
+        vals, vecs = spla.eigsh(
+            stiffness, k, M=mass_mat, sigma=-0.5, v0=np.ones(n), OPinv=inverse
+        )
+    except spla.ArpackError as exc:
+        raise NumericError(f"{what} failed: {exc}") from exc
+    order = np.argsort(vals)
+    return vals[order], vecs[:, order]
+
+
 def _round_eigenbasis(mesh: TriangulatedSphere, bands: int):
     """First ``bands`` nonconstant round eigenfields, canonically aligned.
 
@@ -559,9 +583,9 @@ def _round_eigenbasis(mesh: TriangulatedSphere, bands: int):
     lmax = 1
     while (lmax + 1) ** 2 - 1 < bands:
         lmax += 1
-    cached = _BASIS_CACHE.get(mesh)
-    if cached is not None and cached[0] >= lmax:
-        return cached[1], cached[2]
+    record = _geometry(mesh)
+    if record.basis is not None and record.basis[0] >= lmax:
+        return record.basis[1], record.basis[2]
     core = _geometric_core(mesh)
     n = mesh.num_vertices
     k = (lmax + 1) ** 2
@@ -569,20 +593,7 @@ def _round_eigenbasis(mesh: TriangulatedSphere, bands: int):
         raise ResolutionError(
             f"mesh too coarse for {bands} bands ({n} vertices, need {k + 1} modes)"
         )
-    mass_mat = sp.diags(core.round_mass)
-    # Deterministic Lanczos: fixed starting vector, shift-invert at -0.5.
-    try:
-        vals, vecs = spla.eigsh(
-            core.stiffness,
-            k=k,
-            M=mass_mat,
-            sigma=-0.5,
-            v0=np.ones(n),
-        )
-    except spla.ArpackError as exc:
-        raise NumericError(f"round eigensolve failed: {exc}") from exc
-    order = np.argsort(vals)
-    vals, vecs = vals[order], vecs[:, order]
+    vals, vecs = _lowest_modes(core.stiffness, core.round_mass, k, "round eigensolve", mesh)
     if abs(vals[0]) > 1e-8:
         raise NumericError("round eigensolve lost the constant mode")
     vals, vecs = vals[1:], vecs[:, 1:]
@@ -612,7 +623,7 @@ def _round_eigenbasis(mesh: TriangulatedSphere, bands: int):
             basis_cols.append(w / norm)
         pos += dim
     basis = np.stack(basis_cols, axis=1)
-    _BASIS_CACHE[mesh] = (lmax, vals, basis)
+    record.basis = (lmax, vals, basis)
     return vals, basis
 
 

@@ -133,6 +133,9 @@ class TestGlobalBound:
         # The negative Hessian at the constant is the ascent metric: 105
         # accepted steps here, where the Sobolev metric 2 kappa S + M took
         # 420.  No step needs the Sobolev fallback, so it is never factored.
+        # The trials' band fields need the 11-band eigenbasis, whose
+        # eigensolve factors too: build it before counting.
+        L.random_band_field(ops3.mesh, 0, 11, 1.0)
         factored = []
         splu = spla.splu
 
@@ -245,6 +248,21 @@ class TestPoincareConstant:
     def test_bad_exponent(self, ops3, p):
         with pytest.raises(ParameterError):
             poincare_constant(ops3, p)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"modes": 0},
+            {"modes": -1},
+            {"modes": 2.5},
+            {"p": 3.0, "starts": 0},
+            {"p": 3.0, "iterations": -1},
+        ],
+        ids=["modes=0", "modes=-1", "modes=2.5", "starts=0", "iterations=-1"],
+    )
+    def test_bad_counts(self, ops2, kwargs):
+        with pytest.raises(ParameterError):
+            poincare_constant(ops2, **{"p": 2.0, **kwargs})
 
     def test_modes_capped_by_mesh(self):
         ops1 = L.assemble_operators(L.build_icosphere(1))

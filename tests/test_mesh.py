@@ -26,7 +26,7 @@ from liouvillelab import (
     write_field_csv,
     write_off_mesh,
 )
-from liouvillelab.mesh import _icosahedron, _vertex_faces
+from liouvillelab.mesh import _icosahedron, _ordering, _vertex_faces
 
 
 def test_subdivision_counts():
@@ -98,6 +98,27 @@ def test_dirichlet_form_is_conformally_invariant(ops3, rng):
     d_round = dirichlet_energy(ops3, u)
     d_bumpy = dirichlet_energy(bumpy, u)
     assert abs(d_round - d_bumpy) <= 1e-10 * max(1.0, abs(d_round))
+
+
+def test_background_copies_share_the_geometry_caches():
+    # A background copy holds its parent's vertices and faces, so it finds
+    # the parent's stiffness, order and eigenbasis; a mesh built from copies
+    # of the arrays holds other objects and computes its own.
+    mesh = build_icosphere(3)
+    derived = set_conformal_background(mesh, mobius_dilation_factor(mesh, 2.0))
+    again = set_conformal_background(derived, np.zeros(mesh.num_vertices))
+    copied = TriangulatedSphere(
+        mesh.vertices.copy(), mesh.faces.copy(), np.zeros(mesh.num_vertices)
+    )
+    band = random_band_field(derived, 3, 8, 0.5)
+    stiffness = assemble_operators(mesh).stiffness
+    for shared in (derived, again):
+        assert assemble_operators(shared).stiffness is stiffness
+        assert _ordering(shared) is _ordering(mesh)
+    assert assemble_operators(copied).stiffness is not stiffness
+    assert _ordering(copied) is not _ordering(mesh)
+    assert np.array_equal(random_band_field(mesh, 3, 8, 0.5), band)
+    assert np.array_equal(random_band_field(copied, 3, 8, 0.5), band)
 
 
 def test_dirichlet_energy_of_linear_height(ops3, ops4):

@@ -1,5 +1,6 @@
 """Every sparse factor and solve goes through mesh._solve or mesh._factor,
-and every way such a solve can fail comes out as one NumericError."""
+every eigensolve through mesh._lowest_modes, and every way such a solve can
+fail comes out as one NumericError."""
 
 import ast
 import dataclasses
@@ -16,7 +17,7 @@ from liouvillelab.errors import NumericError
 from liouvillelab.mesh import FOUR_PI, _factor, _ordering, _solve
 
 SRC = Path(L.__file__).parent
-SOLVERS = {"spsolve", "splu"}
+SOLVERS = {"spsolve", "splu", "eigsh"}
 
 
 def _failing(kind):
@@ -58,6 +59,22 @@ def _band(ops):
     return L.random_band_field(ops.mesh, 0, 8, 0.5)
 
 
+def _warm(ops):
+    # The entries draw up to 11 bands (check_global_mt); the eigenbasis is
+    # cached after this, so a patched solver meets the entry's own system.
+    L.random_band_field(ops.mesh, 0, 11, 0.5)
+
+
+def _fresh_band(ops):
+    # The same band field on a copy of the mesh arrays, which shares no
+    # cached eigenbasis: the round eigensolve runs.
+    mesh = ops.mesh
+    copied = L.TriangulatedSphere(
+        mesh.vertices.copy(), mesh.faces.copy(), mesh.background_factor
+    )
+    return L.random_band_field(copied, 0, 8, 0.5)
+
+
 # site -> (patch, call of the public entry, name of the failing system)
 SITES = {
     "flow": (_patch_spsolve, lambda ops: L.run_flow(ops, _band(ops), 1.0), "flow step"),
@@ -77,6 +94,12 @@ SITES = {
         lambda ops: L.check_global_mt(ops, 0.1, trials=2, seed=0),
         "ascent metric",
     ),
+    "round_eigensolve": (_patch_splu, _fresh_band, "round eigensolve"),
+    "poincare_eigensolve": (
+        _patch_splu,
+        lambda ops: L.poincare_constant(ops, 2.0, modes=8),
+        "Poincare eigensolve",
+    ),
 }
 
 
@@ -84,6 +107,7 @@ SITES = {
 @pytest.mark.parametrize("site", sorted(SITES))
 def test_failed_solve_is_numeric_error_at_public_entry(ops2, monkeypatch, site, kind):
     patch, entry, what = SITES[site]
+    _warm(ops2)
     patch(monkeypatch, kind)
     with pytest.raises(NumericError, match=what):
         entry(ops2)
@@ -194,6 +218,8 @@ MESH_SITES = {
     "minimizer_newton": ("spsolve", SITES["minimizer_preconditioner"][1]),
     "minimizer_preconditioner": ("splu", SITES["minimizer_preconditioner"][1]),
     "ascent_metric": ("splu", SITES["ascent_metric"][1]),
+    "round_eigensolve": ("splu", SITES["round_eigensolve"][1]),
+    "poincare_eigensolve": ("splu", SITES["poincare_eigensolve"][1]),
 }
 
 
@@ -206,6 +232,7 @@ def test_green_border_is_ordered_last(ops3, monkeypatch):
 @pytest.mark.parametrize("site", sorted(MESH_SITES))
 def test_mesh_sites_factor_in_the_mesh_order(ops3, monkeypatch, site):
     solver, entry = MESH_SITES[site]
+    _warm(ops3)
     handed = _handed(monkeypatch, solver, entry, ops3)
     order = _ordering(ops3.mesh)
     order = np.concatenate([order, np.arange(len(order), handed.shape[0])])
@@ -223,7 +250,7 @@ def test_mesh_sites_factor_in_the_mesh_order(ops3, monkeypatch, site):
 
 
 def _sparse_solver_uses():
-    # (module, top-level definition, name) for every spsolve/splu reference.
+    # (module, top-level definition, name) for every SOLVERS reference.
     uses = []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
@@ -244,6 +271,7 @@ def _sparse_solver_uses():
 def test_sparse_solvers_are_called_only_in_the_helpers():
     assert sorted(_sparse_solver_uses()) == [
         ("mesh", "_factor", "splu"),
+        ("mesh", "_lowest_modes", "eigsh"),
         ("mesh", "_solve", "spsolve"),
     ]
 
