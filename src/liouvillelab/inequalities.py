@@ -213,6 +213,15 @@ def _ascend(ops, u0, kappa, metrics, cap):
     ends.  Doubling/backtracking line search; stops on a small tangent
     gradient, a stagnant value window or a failed line search.  Returns
     (best value, accepted steps, diverged flag).
+
+    The sufficient-increase test compares the rise ``v_try - value`` with
+    ``step * gain``: written as ``v_try >= value + step * gain`` it loses
+    its margin to rounding once ``step * gain`` is below half an ulp of
+    ``value``, and a tie (at the maximum, the mirror image of the step
+    across it) passes, so a trial oscillates at the roundoff floor until
+    the stagnation window fires.  Backtracking also stops once
+    ``value + step * slope == value``: no shorter step can then register a
+    rise, so a trial at its floor ends through the failed line search.
     """
     u = project_constraint(ops, u0)
     value = log_volume(ops, u) - kappa * float(u @ (ops.stiffness @ u))
@@ -242,12 +251,12 @@ def _ascend(ops, u0, kappa, metrics, cap):
         gain = 1e-4 * slope
         step = min(step * 2.0, 1e3)
         accepted = False
-        while step > 2.0**-40:
+        while step > 2.0**-40 and value + step * slope != value:
             u_try = project_constraint(ops, u + step * direction)
             v_try = log_volume(ops, u_try) - kappa * float(
                 u_try @ (ops.stiffness @ u_try)
             )
-            if v_try >= value + step * gain:
+            if v_try - value >= step * gain:
                 accepted = True
                 break
             step *= 0.5

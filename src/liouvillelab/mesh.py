@@ -19,6 +19,7 @@ combined with the factor afterwards:
 
 from __future__ import annotations
 
+import copy
 import csv
 import heapq
 import logging
@@ -26,7 +27,7 @@ import math
 import re
 import warnings
 import weakref
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -506,7 +507,10 @@ def set_conformal_background(
             float((np.exp(phi - shift) * core.round_mass).sum())
         )
         phi = phi + (np.log(FOUR_PI) - log_area)
-    derived = replace(mesh, background_factor=phi)
+    # A shallow copy skips __post_init__: the shared vertices and faces were
+    # validated with the parent, and phi has been checked above.
+    derived = copy.copy(mesh)
+    derived.background_factor = phi
     _GEOMETRY[derived] = _geometry(mesh)
     return derived
 

@@ -2,9 +2,9 @@
 
 Eight independent criteria, each printing one PASS line when it holds
 (run with -s to see them).  Meshes are shared per module because the
-level-5 and level-6 builds dominate the setup cost.  Expected total
-runtime is dominated by the 1000-trial adversarial ascent (about three
-minutes) and the level-6 sweep.
+level-5 and level-6 builds dominate the setup cost.  The largest costs
+are criterion 4 with its 1000-trial adversarial ascent (about 13 s on a
+2-core x86_64 machine) and the level-6 sweep.
 """
 
 import time

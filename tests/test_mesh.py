@@ -100,16 +100,27 @@ def test_dirichlet_form_is_conformally_invariant(ops3, rng):
     assert abs(d_round - d_bumpy) <= 1e-10 * max(1.0, abs(d_round))
 
 
-def test_background_copies_share_the_geometry_caches():
+def test_background_copies_share_the_geometry_caches(monkeypatch):
     # A background copy holds its parent's vertices and faces, so it finds
-    # the parent's stiffness, order and eigenbasis; a mesh built from copies
-    # of the arrays holds other objects and computes its own.
+    # the parent's stiffness, order and eigenbasis and does not validate
+    # them again; a mesh built from copies of the arrays holds other
+    # objects and checks and computes its own.
     mesh = build_icosphere(3)
+    checked = []
+    check = TriangulatedSphere._check_topology
+
+    def counting_check(self):
+        checked.append(self)
+        check(self)
+
+    monkeypatch.setattr(TriangulatedSphere, "_check_topology", counting_check)
     derived = set_conformal_background(mesh, mobius_dilation_factor(mesh, 2.0))
     again = set_conformal_background(derived, np.zeros(mesh.num_vertices))
+    assert checked == []
     copied = TriangulatedSphere(
         mesh.vertices.copy(), mesh.faces.copy(), np.zeros(mesh.num_vertices)
     )
+    assert checked == [copied]
     band = random_band_field(derived, 3, 8, 0.5)
     stiffness = assemble_operators(mesh).stiffness
     for shared in (derived, again):
