@@ -100,9 +100,15 @@ class RunSpec:
     and config key and the converter from text.  tolerance, max_iterations
     and grid_n default to None, meaning "use the library function's own
     default"; amplitude defaults to None, meaning "use the command's own
-    start"; output_dir defaults to runs/<command>.  Validation of numeric
-    ranges is left to the library calls so the failure surface is identical
-    for CLI and programmatic use.
+    start"; output_dir defaults to runs/<command>.  Up front, before any
+    work, it checks the command, that every float option is finite (the
+    manifest records every option, and JSON has no NaN or inf) and every
+    --eps against the library's epsilon rule, (0, 8*pi), so a sweep cannot
+    fail at a late stage on a bad value.  The rule also covers the
+    inequalities command, whose --eps goes to check_global_mt, although
+    that function accepts any positive epsilon.  Every other range is left
+    to the library call, which raises the same ParameterError for CLI and
+    programmatic use.
     """
 
     command: str

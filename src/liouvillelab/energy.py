@@ -12,7 +12,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import DataError, ParameterError
+from .errors import DataError, ParameterError, _real
 from .mesh import (
     FOUR_PI,
     DiscreteOperators,
@@ -52,9 +52,7 @@ def _check_field(ops: DiscreteOperators, u: np.ndarray) -> np.ndarray:
 
 
 def _check_epsilon(epsilon: float) -> float:
-    if not np.isfinite(epsilon) or not 0.0 < epsilon < EIGHT_PI:
-        raise ParameterError(f"epsilon must lie in (0, 8*pi), got {epsilon}")
-    return float(epsilon)
+    return _real("epsilon", epsilon, 0.0, EIGHT_PI)
 
 
 def log_volume(ops: DiscreteOperators, u: np.ndarray) -> float:

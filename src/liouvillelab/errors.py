@@ -1,6 +1,11 @@
-"""Exception types shared across the laboratory."""
+"""Exception types shared across the laboratory, and the two checks that
+turn a bad scalar parameter into a :class:`ParameterError`: ``_count`` for
+counts, indices and seeds (integers only), ``_real`` for real parameters
+(finite only)."""
 
 from __future__ import annotations
+
+import numpy as np
 
 
 class LabError(Exception):
@@ -9,6 +14,41 @@ class LabError(Exception):
 
 class ParameterError(LabError):
     """A caller-supplied parameter is out of its documented range."""
+
+
+def _count(name: str, value, low: int, high: int | None = None) -> int:
+    """value as an int in [low, high]; bools, floats and other types are
+    refused rather than truncated."""
+    if (
+        isinstance(value, (int, np.integer))
+        and not isinstance(value, bool)
+        and low <= value
+        and (high is None or value <= high)
+    ):
+        return int(value)
+    bound = f">= {low}" if high is None else f"in [{low}, {high}]"
+    raise ParameterError(f"{name} must be an integer {bound}, got {value!r}")
+
+
+def _real(
+    name: str, value, low: float = -np.inf, high: float = np.inf, closed: bool = False
+) -> float:
+    """value as a finite float in (low, high), or in [low, high] when closed;
+    bools and other types are refused, and so are NaN, the infinities and
+    integers too large for a float."""
+    x = np.nan
+    if isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool):
+        try:
+            x = float(value)
+        except OverflowError:  # an int beyond the float range
+            pass
+    if np.isfinite(x) and (low <= x <= high if closed else low < x < high):
+        return x
+    left = "[" if closed and low > -np.inf else "("
+    right = "]" if closed and high < np.inf else ")"
+    raise ParameterError(
+        f"{name} must be a finite real in {left}{low:g}, {high:g}{right}, got {value!r}"
+    )
 
 
 class DataError(LabError):

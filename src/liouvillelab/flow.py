@@ -16,7 +16,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .energy import _check_field, conformal_curvature, liouville_energy, log_volume
-from .errors import NumericError, ParameterError
+from .errors import NumericError, _real
 from .mesh import FOUR_PI, DiscreteOperators, ScalarField, _solve
 
 _DT_FLOOR = 1e-8
@@ -83,8 +83,7 @@ def flow_step(ops: DiscreteOperators, u: ScalarField, dt: float) -> ScalarField:
     increase (1e-12 relative slack); hitting the 1e-8 floor raises a
     stiffness NumericError.  The returned factor has exact volume 4*pi.
     """
-    if not np.isfinite(dt) or dt <= 0:
-        raise ParameterError("dt must be positive")
+    dt = _real("dt", dt, 0.0)
     u0 = _renormalize(ops, _check_field(ops, u))
     step = _guarded_step(ops, u0, liouville_energy(ops, u0).total, dt)
     if step is None:
@@ -105,10 +104,8 @@ def run_flow(
     (stiffness, a failed or non-finite solve) carries the partial trace as
     ``.trace``.
     """
-    if not np.isfinite(t_end) or t_end <= 0:
-        raise ParameterError("t_end must be positive")
-    if not np.isfinite(dt0) or dt0 <= 0:
-        raise ParameterError("dt0 must be positive")
+    t_end = _real("t_end", t_end, 0.0)
+    dt0 = _real("dt0", dt0, 0.0)
     u = _renormalize(ops, _check_field(ops, u0))
     trace = FlowTrace()
 

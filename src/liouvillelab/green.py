@@ -26,7 +26,7 @@ import scipy.sparse as sp
 from scipy.integrate import IntegrationWarning, quad
 
 from .energy import EIGHT_PI, _check_field
-from .errors import DataError, NumericError, ParameterError, ResolutionError
+from .errors import DataError, NumericError, ResolutionError, _count, _real
 from .mesh import (
     FOUR_PI,
     DiscreteOperators,
@@ -84,8 +84,7 @@ def solve_green(ops: DiscreteOperators, pole: int) -> GreenResult:
     enforced through a bordered system with a scaled multiplier column.
     """
     n = ops.mass.shape[0]
-    if not 0 <= pole < n:
-        raise ParameterError("pole vertex out of range")
+    pole = _count("pole", pole, 0, n - 1)
     rhs = -2.0 * ops.curvature * ops.mass
     rhs[pole] += EIGHT_PI
     column = ops.mass / FOUR_PI
@@ -183,10 +182,8 @@ def bubble_checks(R: float, quadrature_n: int = 2001) -> BubbleReport:
     quadrature emits are recorded rather than printed; a failure message
     carries their text on its one line.
     """
-    if not np.isfinite(R) or R <= 0:
-        raise ParameterError("R must be positive")
-    if quadrature_n < 16:
-        raise ParameterError("quadrature_n must be >= 16")
+    R = _real("R", R, 0.0)
+    quadrature_n = _count("quadrature_n", quadrature_n, 16)
     exact_mass = bubble_mass_closed_form(R)
     exact_dirichlet = bubble_dirichlet_closed_form(R)
     if not np.isfinite([exact_mass, exact_dirichlet]).all():
@@ -194,7 +191,7 @@ def bubble_checks(R: float, quadrature_n: int = 2001) -> BubbleReport:
             f"bubble closed forms are not finite at R = {R:g} "
             f"(mass {exact_mass}, Dirichlet {exact_dirichlet})"
         )
-    rho = np.linspace(0.0, R, int(quadrature_n))
+    rho = np.linspace(0.0, R, quadrature_n)
     denom = 1.0 + np.pi * rho * rho
     d1 = -4.0 * np.pi * rho / denom
     # 1 - pi rho^2 = 2 - denom; in this form nothing squares denom, so d2
@@ -290,8 +287,7 @@ def rescale_diagnostic(
     together with the closed-form B_R integrals.
     """
     v = _check_field(ops, v)
-    if not np.isfinite(R) or R <= 0:
-        raise ParameterError("R must be positive")
+    R = _real("R", R, 0.0)
     if float(v.max() - v.min()) < 1e-8:
         raise ResolutionError("field has no concentration peak (flat to 1e-8)")
     peak = int(np.argmax(v))
@@ -338,6 +334,5 @@ def lower_bound_predictor(A: float) -> float:
     At the round-sphere value A = 4 ln 2 - 2 this collapses algebraically
     to -8*pi*ln(4*pi), the round-sphere limit of the perturbed minima.
     """
-    if not np.isfinite(A):
-        raise ParameterError("A must be finite")
+    A = _real("A", A)
     return -FOUR_PI * A - EIGHT_PI * np.log(np.pi) - EIGHT_PI

@@ -19,7 +19,7 @@ import scipy.sparse as sp
 from scipy.integrate import cumulative_trapezoid, simpson
 
 from .energy import log_volume, onofri_deficit
-from .errors import NumericError, ParameterError
+from .errors import NumericError, _count, _real
 from .mesh import (
     FOUR_PI,
     DiscreteOperators,
@@ -64,9 +64,8 @@ class InequalityReport:
 
 def sample_seed(seed: int, index: int) -> int:
     """Per-sample child seed: counter splitting with a fixed odd stride."""
-    if seed < 0:  # numpy's generators take no negative seed
-        raise ParameterError(f"seed must be >= 0, got {seed}")
-    return int(seed) * _SEED_STRIDE + int(index)
+    # numpy's generators take no negative seed
+    return _count("seed", seed, 0) * _SEED_STRIDE + _count("index", index, 0)
 
 
 def _sampled_report(name, samples, seed, margin_of, parameters):
@@ -126,16 +125,13 @@ def check_local_mt(
     the exponent (the small-radius variant), ``amplitude_scale`` stresses
     the scaling behavior.
     """
-    if not np.isfinite(r) or r <= 0:
-        raise ParameterError("r must be positive")
-    if samples < 1:
-        raise ParameterError("samples must be >= 1")
-    if not np.isfinite(epsilon) or epsilon < 0:
-        raise ParameterError("epsilon must be finite and >= 0")
-    if not np.isfinite(amplitude_scale):
-        raise ParameterError("amplitude_scale must be finite")
-    if grid_n < 256:  # 0 or 1 cells gave +inf margins; disk_min_dirichlet's floor
-        raise ParameterError("grid_n must be >= 256")
+    r = _real("r", r, 0.0)
+    samples = _count("samples", samples, 1)
+    epsilon = _real("epsilon", epsilon, 0.0, closed=True)
+    amplitude_scale = _real("amplitude_scale", amplitude_scale)
+    modes = _count("modes", modes, 1)
+    # 0 or 1 cells gave +inf margins; disk_min_dirichlet's floor
+    grid_n = _count("grid_n", grid_n, 256)
     grid = np.linspace(0.0, r, grid_n + 1)
     bound_const = np.log(np.pi * r * r) + 1.0
     coeff = 1.0 / SIXTEEN_PI + epsilon
@@ -289,10 +285,9 @@ def check_global_mt(
     the Sobolev metric 2 kappa S + M, factored at most once per suite and
     only when a trial needs it.
     """
-    if not 0 < epsilon < np.inf:
-        raise ParameterError(f"epsilon must be positive and finite, got {epsilon}")
-    if trials < 1:
-        raise ParameterError("trials must be >= 1")
+    epsilon = _real("epsilon", epsilon, 0.0)
+    trials = _count("trials", trials, 1)
+    best_value, best_seed = -np.inf, sample_seed(seed, 0)
     kappa = 1.0 / SIXTEEN_PI + epsilon
     area = ops.total_area
     solve_k = _factor(
@@ -311,7 +306,6 @@ def check_global_mt(
         return _factor(metric, "ascent Sobolev metric", ops.mesh)
 
     metrics = (solve_hessian, lambda rhs: sobolev_factor()(rhs))
-    best_value, best_seed = -np.inf, sample_seed(seed, 0)
     rows = []
     total_iterations = 0
     diverged_any = False
@@ -362,12 +356,9 @@ def onofri_suite(
     dilations are near-equality cases, so they probe the sharp constant.
     Margins are the deficits themselves: nonnegative up to discretization.
     """
-    if samples < 1:
-        raise ParameterError("samples must be >= 1")
-    if not (0 < amplitude_max < np.inf and 1 <= dilation_max < np.inf):
-        raise ParameterError(
-            "amplitude_max must be finite and > 0, dilation_max finite and >= 1"
-        )
+    samples = _count("samples", samples, 1)
+    amplitude_max = _real("amplitude_max", amplitude_max, 0.0)
+    dilation_max = _real("dilation_max", dilation_max, 1.0, closed=True)
 
     def margin_of(i, s_i, rng):
         if i == 0:
@@ -403,16 +394,11 @@ def poincare_constant(
     The constant is reported in parameters["c_p"]; worst_margin is 0 by
     convention (the inequality defines c_p rather than bounding it).
     """
-    if not np.isfinite(p) or p < 1:
-        raise ParameterError("p must be >= 1")
-    n = ops.mass.shape[0]
-    integer = (int, np.integer)
-    if not (isinstance(modes, integer) and 1 <= modes <= n - 3):
-        raise ParameterError(f"modes must be an integer in [1, {n - 3}], got {modes!r}")
-    if not (isinstance(starts, integer) and starts >= 1):
-        raise ParameterError(f"starts must be an integer >= 1, got {starts!r}")
-    if not (isinstance(iterations, integer) and iterations >= 0):
-        raise ParameterError(f"iterations must be an integer >= 0, got {iterations!r}")
+    p = _real("p", p, 1.0, closed=True)
+    modes = _count("modes", modes, 1, ops.mass.shape[0] - 3)
+    starts = _count("starts", starts, 1)
+    seed = _count("seed", seed, 0)
+    iterations = _count("iterations", iterations, 0)
     vals, vecs = _lowest_modes(
         ops.stiffness, ops.mass, modes + 1, "Poincare eigensolve", ops.mesh
     )
@@ -505,14 +491,10 @@ def brezis_merle_check(
     The empirical constant (the largest integral seen) is reported in
     parameters["max_integral"].
     """
-    if not np.isfinite(r) or r <= 0:
-        raise ParameterError("r must be positive")
-    if not 0.0 < delta < FOUR_PI:
-        raise ParameterError("delta must lie in (0, 4*pi)")
-    if samples < 1:
-        raise ParameterError("samples must be >= 1")
-    if grid_n < 256:
-        raise ParameterError("grid_n must be >= 256")
+    r = _real("r", r, 0.0)
+    delta = _real("delta", delta, 0.0, FOUR_PI)
+    samples = _count("samples", samples, 1)
+    grid_n = _count("grid_n", grid_n, 256)
     grid = np.linspace(0.0, r, grid_n + 1)
     h = r / grid_n
     widths = np.geomspace(r / 2.0, 4.0 * h, num=max(8, min(64, samples)))

@@ -35,7 +35,7 @@ import scipy.sparse.linalg as spla
 from scipy.spatial import cKDTree
 from scipy.special import sph_harm_y
 
-from .errors import DataError, MeshQualityError, NumericError, ParameterError, ResolutionError
+from .errors import DataError, MeshQualityError, NumericError, ResolutionError, _count, _real
 
 logger = logging.getLogger(__name__)
 
@@ -378,10 +378,7 @@ def build_icosphere(level: int) -> TriangulatedSphere:
     Level 0 is the icosahedron (12 vertices); each level quadruples the
     face count, giving V = 2 + 10*4^level.  Levels above 7 are refused.
     """
-    if not isinstance(level, (int, np.integer)) or isinstance(level, bool):
-        raise ParameterError("level must be an integer")
-    if level < 0 or level > _MAX_LEVEL:
-        raise ParameterError(f"level must be in [0, {_MAX_LEVEL}], got {level}")
+    level = _count("level", level, 0, _MAX_LEVEL)
     verts, faces = _icosahedron()
     for _ in range(level):
         verts, faces = _subdivide(verts, faces)
@@ -641,12 +638,9 @@ def random_band_field(
     (seed, bands, amplitude) always reproduces the same field bitwise, and
     the construction tracks the same continuum function across mesh levels.
     """
-    if bands < 1:
-        raise ParameterError("bands must be >= 1")
-    if seed < 0:  # numpy's generators take no negative seed
-        raise ParameterError(f"seed must be >= 0, got {seed}")
-    if amplitude < 0:
-        raise ParameterError("amplitude must be >= 0")
+    bands = _count("bands", bands, 1)
+    seed = _count("seed", seed, 0)  # numpy's generators take no negative seed
+    amplitude = _real("amplitude", amplitude, 0.0, closed=True)
     _, basis = _round_eigenbasis(mesh, bands)
     rng = np.random.default_rng(seed)
     coeffs = rng.standard_normal(bands)
@@ -670,8 +664,7 @@ def mobius_dilation_factor(mesh: TriangulatedSphere, lam: float) -> ScalarField:
     the volume at 4*pi and is the equality family of the sharp inequality
     checked by ``energy.onofri_deficit``.
     """
-    if not np.isfinite(lam) or lam <= 0:
-        raise ParameterError("lam must be positive")
+    lam = _real("lam", lam, 0.0)
     x3 = mesh.vertices[:, 2]
     return 2.0 * np.log(2.0 * lam) - 2.0 * np.log((1.0 - x3) + lam * lam * (1.0 + x3))
 
@@ -695,8 +688,7 @@ def geodesic_distances(
     the result is finite everywhere.
     """
     mesh = ops.mesh
-    if not 0 <= source < mesh.num_vertices:
-        raise ParameterError("source vertex out of range")
+    source = _count("source", source, 0, mesh.num_vertices - 1)
     if _is_round(mesh):
         dots = mesh.vertices @ mesh.vertices[source]
         return np.arccos(np.clip(dots, -1.0, 1.0)), True

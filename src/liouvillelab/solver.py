@@ -16,8 +16,8 @@ from .energy import (
     perturbed_functional,
     perturbed_gradient,
 )
-from .errors import ConvergenceError, DataError, NumericError, ParameterError
-from .mesh import FOUR_PI, DiscreteOperators, ScalarField, _factor, _solve, integrate
+from .errors import ConvergenceError, DataError, NumericError, _count, _real
+from .mesh import DiscreteOperators, ScalarField, _factor, _solve, integrate
 
 _STEP_FLOOR = 2.0**-30
 _H1_STEPS = 3  # H1 steps before the first Newton try and after a rejected one
@@ -43,10 +43,8 @@ class SolverConfig:
 
     def __post_init__(self):
         _check_epsilon(self.epsilon)
-        if self.max_iterations < 1:
-            raise ParameterError("max_iterations must be >= 1")
-        if not self.gradient_tolerance > 0:  # also rejects NaN
-            raise ParameterError("gradient_tolerance must be positive")
+        _count("max_iterations", self.max_iterations, 1)
+        _real("gradient_tolerance", self.gradient_tolerance, 0.0)
 
 
 @dataclass
@@ -58,9 +56,9 @@ class MinimizerResult:
     solves the mean-field equation.  iterations holds (step, energy,
     gradient_norm) rows, one for the start and one per step; every
     gradient_norm is the mass-norm Euler-Lagrange residual at the
-    unit-volume shift of the row's iterate.  polish_steps is the
-    number of Newton steps among them; the name is kept for the artifacts
-    that read it.
+    unit-volume shift of the row's iterate, and el_residual is the last
+    row's.  polish_steps is the number of Newton steps among them; the
+    name is kept for the artifacts that read it.
     """
 
     epsilon: float
@@ -92,16 +90,6 @@ def project_constraint(ops: DiscreteOperators, u: np.ndarray) -> ScalarField:
     return u - integrate(ops, ops.curvature * u) / total
 
 
-def _el_residual(ops, v, epsilon):
-    # Euler-Lagrange residual field at unit exponential volume.
-    beta = EIGHT_PI - epsilon
-    return (
-        (ops.stiffness @ v) / ops.mass
-        + (beta / FOUR_PI) * ops.curvature
-        - beta * np.exp(v)
-    )
-
-
 def _newton_direction(ops, epsilon, u, grad):
     # Newton step of the Euler-Lagrange equation at v = u - log_volume(u),
     # where its residual is grad; None when the solve fails.
@@ -111,24 +99,6 @@ def _newton_direction(ops, epsilon, u, grad):
         return _solve(jac, -(grad * ops.mass), "minimizer Newton step", ops.mesh)
     except NumericError:
         return None
-
-
-def _package_result(ops, config, v, rows, newton_steps):
-    u = project_constraint(ops, v)
-    breakdown = perturbed_functional(ops, u, config.epsilon)
-    residual = mass_norm(ops, _el_residual(ops, v, config.epsilon))
-    peak = int(np.argmax(v))
-    return MinimizerResult(
-        epsilon=config.epsilon,
-        u_min=u,
-        v_field=v,
-        energy=breakdown.total,
-        el_residual=residual,
-        peak_value=float(v[peak]),
-        peak_vertex=peak,
-        iterations=rows,
-        polish_steps=newton_steps,
-    )
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflowing trial fails its test
@@ -201,13 +171,22 @@ def minimize_perturbed(
             break  # roundoff plateau: the step gained nothing
 
     v = u - log_volume(ops, u)
-    result = _package_result(ops, config, v, rows, newton_steps)
-    tolerance = config.gradient_tolerance * max(1.0, abs(result.energy))
-    final_grad = perturbed_gradient(ops, result.u_min, config.epsilon)
-    final_norm = mass_norm(ops, final_grad)
-    if not final_norm <= tolerance:  # also catches NaN
+    peak = int(np.argmax(v))
+    result = MinimizerResult(
+        epsilon=config.epsilon,
+        u_min=u,
+        v_field=v,
+        energy=energy,
+        el_residual=grad_norm,
+        peak_value=float(v[peak]),
+        peak_vertex=peak,
+        iterations=rows,
+        polish_steps=newton_steps,
+    )
+    tolerance = config.gradient_tolerance * max(1.0, abs(energy))
+    if not grad_norm <= tolerance:  # also catches NaN
         raise ConvergenceError(
-            f"gradient norm {final_norm:.3e} above tolerance {tolerance:.3e}",
+            f"gradient norm {grad_norm:.3e} above tolerance {tolerance:.3e}",
             best=result,
             trace=result.iterations,
         )
@@ -237,7 +216,7 @@ def solve_mean_field(
     config = SolverConfig(
         epsilon=epsilon,
         max_iterations=max_iterations,
-        gradient_tolerance=tolerance * EIGHT_PI,
+        gradient_tolerance=_real("tolerance", tolerance, 0.0) * EIGHT_PI,
     )
     if initial is None:
         initial = np.full(ops.mass.shape, -np.log(ops.total_area))
@@ -284,16 +263,10 @@ def disk_min_dirichlet(
     (the unconstrained start w = b is exact for a = pi r^2 exp(2 b)).
     Second-order accurate: doubling grid_n quarters the error.
     """
-    if not np.isfinite(a) or a <= 0:
-        raise ParameterError("a must be positive")
-    if not np.isfinite(b):
-        raise ParameterError("b must be finite")
-    if not np.isfinite(r) or r <= 0:
-        raise ParameterError("r must be positive")
-    if grid_n < 256:
-        raise ParameterError("grid_n must be >= 256")
-
-    n = int(grid_n)
+    a = _real("a", a, 0.0)
+    b = _real("b", b)
+    r = _real("r", r, 0.0)
+    n = _count("grid_n", grid_n, 256)
     h = r / n
     rho = np.arange(n + 1) * h
     # Quadrature weights for int_0^r f rho d rho over cells around nodes.
@@ -312,7 +285,7 @@ def disk_min_dirichlet(
     log_level = np.log(level_target)
     n_stages = max(1, int(np.ceil(abs(log_level) / 0.4)))
 
-    w = np.full(n + 1, float(b))
+    w = np.full(n + 1, b)
     mu = 0.0
     res_norm = 0.0
     interior = form[:n, :n]

@@ -118,6 +118,15 @@ def test_minimizer_invariants_on_bumpy_background(bumpy3):
     assert shift.max() - shift.min() <= 1e-12
 
 
+def test_el_residual_is_the_last_trace_norm(bumpy3):
+    # The result is the loop's last iterate, not a re-evaluation of it.
+    result = minimize_perturbed(bumpy3, SolverConfig(epsilon=0.25))
+    assert result.el_residual == result.iterations[-1][2]
+    assert result.energy == result.iterations[-1][1]
+    mean_field = solve_mean_field(bumpy3, 0.5)
+    assert mean_field.el_residual == mean_field.iterations[-1][2]
+
+
 def test_energy_trace_nonincreasing(bumpy3):
     result = minimize_perturbed(bumpy3, SolverConfig(epsilon=0.5))
     energies = [row[1] for row in result.iterations]
