@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 import scipy
 
-from .energy import _check_epsilon, perturbed_functional
+from .energy import _check_epsilon, _exp_weights, perturbed_functional
 from .errors import (
     ConvergenceError,
     DataError,
@@ -323,7 +323,7 @@ def _result_json(ops, result) -> dict:
         "iterations": len(result.iterations),
         "polish_steps": result.polish_steps,
         "constraint_pairing": integrate(ops, ops.curvature * result.u_min),
-        "exp_volume": float(np.exp(result.v_field) @ ops.mass),
+        "exp_volume": float(_exp_weights(ops, result.v_field).sum()),
     }
 
 

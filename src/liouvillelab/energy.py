@@ -3,7 +3,8 @@
 Conventions: the unknown u is a per-vertex log density, the candidate
 metric is exp(u) times the working metric, volumes use the metric masses,
 and every exponential moment is evaluated with a max-shift so large fields
-cannot overflow.
+cannot overflow.  The moment int exp(u) phi_i dV is discretized only in the
+``_exp_*`` helpers (lumped today, mass_i exp(u_i)), which take checked fields.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import DataError, ParameterError, _real
 from .mesh import (
@@ -55,11 +57,26 @@ def _check_epsilon(epsilon: float) -> float:
     return _real("epsilon", epsilon, 0.0, EIGHT_PI)
 
 
+def _exp_weights(ops: DiscreteOperators, u: np.ndarray) -> np.ndarray:
+    """Per-vertex moment int phi_i exp(u) dV; their sum is the volume."""
+    return np.exp(u) * ops.mass
+
+
+def _exp_density(ops: DiscreteOperators, u: np.ndarray) -> np.ndarray:
+    """Mass-gradient of ln int exp(u) dV: the normalized candidate density."""
+    return np.exp(u - log_volume(ops, u))
+
+
+def _exp_operator(ops: DiscreteOperators, u: np.ndarray, scale: float = 1.0):
+    """Weighted mass operator h -> int scale exp(u) h phi_i dV, sparse."""
+    return sp.diags(scale * np.exp(u) * ops.mass)
+
+
 def log_volume(ops: DiscreteOperators, u: np.ndarray) -> float:
     """ln of the candidate-metric volume integral exp(u) dV, overflow-safe."""
     u = _check_field(ops, u)
     shift = float(u.max())
-    return shift + float(np.log((np.exp(u - shift) * ops.mass).sum()))
+    return shift + float(np.log(_exp_weights(ops, u - shift).sum()))
 
 
 def liouville_energy(ops: DiscreteOperators, u: np.ndarray) -> EnergyBreakdown:
@@ -110,11 +127,10 @@ def perturbed_gradient(
     u = _check_field(ops, u)
     epsilon = _check_epsilon(epsilon)
     beta = EIGHT_PI - epsilon
-    log_vol = log_volume(ops, u)
     return (
         (ops.stiffness @ u) / ops.mass
         + (beta / FOUR_PI) * ops.curvature
-        - beta * np.exp(u - log_vol)
+        - beta * _exp_density(ops, u)
     )
 
 

@@ -13,9 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
-from .energy import _check_field, conformal_curvature, liouville_energy, log_volume
+from .energy import _check_field, _exp_operator, _exp_weights, log_volume
+from .energy import conformal_curvature, liouville_energy
 from .errors import NumericError, _real
 from .mesh import FOUR_PI, DiscreteOperators, ScalarField, _solve
 
@@ -53,11 +53,11 @@ def _renormalize(ops, u):
 
 
 def _semi_implicit(ops, u, dt):
-    # (diag(M e^u) + dt S) u_new = M e^u (u + dt (2 - R_explicit)) with the
-    # curvature's Laplacian term moved to the left-hand side.
-    weights = ops.mass * np.exp(u)
-    matrix = sp.diags(weights) + dt * ops.stiffness
-    rhs = weights * (u + dt * (2.0 - 2.0 * ops.curvature * np.exp(-u)))
+    # (W + dt S) u_new = W (u + dt (2 - R_explicit)), W the exponential
+    # moment at u, with the curvature's Laplacian term moved to the left.
+    weight = _exp_operator(ops, u)
+    matrix = weight + dt * ops.stiffness
+    rhs = weight @ (u + dt * (2.0 - 2.0 * ops.curvature * np.exp(-u)))
     return _renormalize(ops, _solve(matrix, rhs, "flow step", ops.mesh))
 
 
@@ -111,9 +111,7 @@ def run_flow(
 
     def record(t, u_state, energy, dt_used):
         deviation = np.abs(conformal_curvature(ops, u_state) - 2.0).max()
-        trace.append(
-            t, energy, (np.exp(u_state) * ops.mass).sum(), deviation, dt_used
-        )
+        trace.append(t, energy, _exp_weights(ops, u_state).sum(), deviation, dt_used)
         trace.final_field = u_state
 
     energy = liouville_energy(ops, u).total

@@ -18,7 +18,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 from scipy.integrate import cumulative_trapezoid, simpson
 
-from .energy import log_volume, onofri_deficit
+from .energy import _exp_density, log_volume, onofri_deficit
 from .errors import NumericError, _count, _real
 from .mesh import (
     FOUR_PI,
@@ -231,9 +231,7 @@ def _ascend(ops, u0, kappa, metrics, cap):
             if it > 0 and value - anchor < 1e-12 * max(1.0, abs(value)):
                 return value, it, False
             anchor = value
-        grad = np.exp(u - log_volume(ops, u)) - 2.0 * kappa * (
-            ops.stiffness @ u
-        ) / ops.mass
+        grad = _exp_density(ops, u) - 2.0 * kappa * (ops.stiffness @ u) / ops.mass
         grad = _tangent_project(ops, grad)
         if mass_norm(ops, grad) < 1e-10 * max(1.0, abs(value)):
             return value, it, False

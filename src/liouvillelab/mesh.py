@@ -35,7 +35,8 @@ import scipy.sparse.linalg as spla
 from scipy.spatial import cKDTree
 from scipy.special import sph_harm_y
 
-from .errors import DataError, MeshQualityError, NumericError, ResolutionError, _count, _real
+from .errors import DataError, MeshQualityError, NumericError, ParameterError
+from .errors import ResolutionError, _count, _real
 
 logger = logging.getLogger(__name__)
 
@@ -433,10 +434,7 @@ def _geometric_core(mesh: TriangulatedSphere) -> _GeometricCore:
     stiffness = (off + sp.diags(diag)).tocsr()
 
     areas = 0.5 * double_area
-    round_mass = np.zeros(n)
-    np.add.at(round_mass, f[:, 0], areas / 3.0)
-    np.add.at(round_mass, f[:, 1], areas / 3.0)
-    np.add.at(round_mass, f[:, 2], areas / 3.0)
+    round_mass = np.bincount(f.T.ravel(), weights=np.tile(areas / 3.0, 3), minlength=n)
     flat_area = float(round_mass.sum())
     correction = FOUR_PI / flat_area
     if abs(correction - 1.0) > 1e-9:
@@ -662,11 +660,16 @@ def mobius_dilation_factor(mesh: TriangulatedSphere, lam: float) -> ScalarField:
     ``2 ln(lam (1+|y|^2) / (1 + lam^2 |y|^2))``; on the embedded sphere this
     reduces to ``2 ln(2 lam / ((1-x3) + lam^2 (1+x3)))``.  The family keeps
     the volume at 4*pi and is the equality family of the sharp inequality
-    checked by ``energy.onofri_deficit``.
+    checked by ``energy.onofri_deficit``.  A lam whose square overflows or
+    underflows makes the factor non-finite at some vertex and is refused.
     """
     lam = _real("lam", lam, 0.0)
     x3 = mesh.vertices[:, 2]
-    return 2.0 * np.log(2.0 * lam) - 2.0 * np.log((1.0 - x3) + lam * lam * (1.0 + x3))
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        u = 2.0 * np.log(2.0 * lam) - 2.0 * np.log((1.0 - x3) + lam * lam * (1.0 + x3))
+    if not np.isfinite(u).all():
+        raise ParameterError(f"lam = {lam!r} gives a non-finite dilation factor")
+    return u
 
 
 def _is_round(mesh: TriangulatedSphere) -> bool:
@@ -821,6 +824,8 @@ def sample_field(
         raise DataError("values length does not match the mesh")
     if points.shape[1] != 3:
         raise DataError("points must have shape (N, 3)")
+    if not (np.isfinite(values).all() and np.isfinite(points).all()):
+        raise DataError("values or points contain non-finite entries")
     v, f = mesh.vertices, mesh.faces
     vert_faces = _vertex_faces(mesh)
     tree = cKDTree(v)

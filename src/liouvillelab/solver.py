@@ -12,6 +12,7 @@ from .energy import (
     EIGHT_PI,
     _check_epsilon,
     _check_field,
+    _exp_operator,
     log_volume,
     perturbed_functional,
     perturbed_gradient,
@@ -94,7 +95,7 @@ def _newton_direction(ops, epsilon, u, grad):
     # Newton step of the Euler-Lagrange equation at v = u - log_volume(u),
     # where its residual is grad; None when the solve fails.
     v = u - log_volume(ops, u)
-    jac = ops.stiffness - sp.diags((EIGHT_PI - epsilon) * np.exp(v) * ops.mass)
+    jac = ops.stiffness - _exp_operator(ops, v, EIGHT_PI - epsilon)
     try:
         return _solve(jac, -(grad * ops.mass), "minimizer Newton step", ops.mesh)
     except NumericError:

@@ -1,4 +1,5 @@
 import heapq
+import warnings
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from liouvillelab import (
     write_field_csv,
     write_off_mesh,
 )
-from liouvillelab.mesh import _icosahedron, _ordering, _vertex_faces
+from liouvillelab.mesh import _geometric_core, _icosahedron, _ordering, _vertex_faces
 
 
 def test_subdivision_counts():
@@ -214,6 +215,16 @@ def test_mobius_factor_identity_and_volume(ops4):
         assert abs(vol / FOUR_PI - 1.0) <= 5e-4
 
 
+@pytest.mark.parametrize("lam", [1e154, 2e154, 1e-170])
+def test_mobius_factor_beyond_float_range_is_parameter_error(ops2, lam):
+    # lam^2 overflows (-inf entries, or inf * 0 = NaN at the south pole) or
+    # underflows to zero (+inf at the north pole); no warning either way.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParameterError, match="lam"):
+            mobius_dilation_factor(ops2.mesh, lam)
+
+
 def test_geodesic_distances_round_and_bumpy(ops3, bumpy3):
     dist, exact = geodesic_distances(ops3, 0)
     assert exact
@@ -361,6 +372,30 @@ def test_sample_field_at_vertices_and_constants(ops3, rng):
     points /= np.linalg.norm(points, axis=1)[:, None]
     const = sample_field(mesh, np.full(mesh.num_vertices, 2.5), points)
     assert np.abs(const - 2.5).max() <= 1e-12
+
+
+@pytest.mark.parametrize("bad", ["points", "values"])
+def test_sample_field_refuses_non_finite_input(ops2, bad):
+    mesh = ops2.mesh
+    values = np.zeros(mesh.num_vertices)
+    points = mesh.vertices[:3].copy()
+    {"points": points, "values": values}[bad][1] = np.nan
+    with pytest.raises(DataError, match="non-finite"):
+        sample_field(mesh, values, points)
+
+
+def test_round_mass_matches_add_at_reference():
+    # The per-corner accumulation the bincount replaced, in the same order.
+    mesh = build_icosphere(3)
+    v, f = mesh.vertices, mesh.faces
+    cross = np.cross(v[f[:, 1]] - v[f[:, 0]], v[f[:, 2]] - v[f[:, 0]])
+    areas = 0.5 * np.linalg.norm(cross, axis=1)
+    expected = np.zeros(mesh.num_vertices)
+    for corner in range(3):
+        np.add.at(expected, f[:, corner], areas / 3.0)
+    core = _geometric_core(mesh)
+    assert core.flat_area == expected.sum()
+    assert np.array_equal(core.round_mass, expected * core.mass_correction)
 
 
 def test_vertex_faces_matches_loop_reference():
