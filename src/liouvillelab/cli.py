@@ -693,6 +693,16 @@ def _execute(spec: RunSpec) -> int:
     return 0
 
 
+_EXIT_CODES = {
+    ParameterError: 2,
+    DataError: 2,
+    MeshQualityError: 2,
+    ConvergenceError: 3,
+    ResolutionError: 3,
+    NumericError: 4,
+}
+
+
 def parse_and_run(argv, config_file=None) -> int:
     """Run one harness command; returns the process exit status.
 
@@ -706,15 +716,9 @@ def parse_and_run(argv, config_file=None) -> int:
         return _execute(_resolve(ns, config_file))
     except SystemExit as exc:  # argparse: --help, or a malformed command line
         return 0 if exc.code in (0, None) else 2
-    except (ParameterError, DataError, MeshQualityError) as exc:
+    except tuple(_EXIT_CODES) as exc:
         print(f"{type(exc).__name__} in {_locate(exc)}: {exc}", file=sys.stderr)
-        return 2
-    except (ConvergenceError, ResolutionError) as exc:
-        print(f"{type(exc).__name__} in {_locate(exc)}: {exc}", file=sys.stderr)
-        return 3
-    except NumericError as exc:
-        print(f"{type(exc).__name__} in {_locate(exc)}: {exc}", file=sys.stderr)
-        return 4
+        return next(code for cls, code in _EXIT_CODES.items() if isinstance(exc, cls))
 
 
 def main() -> None:

@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import DataError, ParameterError, _real
+from .errors import ParameterError, _field, _real
 from .mesh import (
     FOUR_PI,
     DiscreteOperators,
@@ -44,15 +44,6 @@ class EnergyBreakdown:
         return asdict(self)
 
 
-def _check_field(ops: DiscreteOperators, u: np.ndarray) -> np.ndarray:
-    u = np.asarray(u, dtype=np.float64)
-    if u.shape != ops.mass.shape:
-        raise DataError("field length does not match the mesh")
-    if not np.isfinite(u).all():
-        raise DataError("field contains non-finite entries")
-    return u
-
-
 def _check_epsilon(epsilon: float) -> float:
     return _real("epsilon", epsilon, 0.0, EIGHT_PI)
 
@@ -74,7 +65,7 @@ def _exp_operator(ops: DiscreteOperators, u: np.ndarray, scale: float = 1.0):
 
 def log_volume(ops: DiscreteOperators, u: np.ndarray) -> float:
     """ln of the candidate-metric volume integral exp(u) dV, overflow-safe."""
-    u = _check_field(ops, u)
+    u = _field("u", u, len(ops.mass))
     shift = float(u.max())
     return shift + float(np.log(_exp_weights(ops, u - shift).sum()))
 
@@ -87,7 +78,7 @@ def liouville_energy(ops: DiscreteOperators, u: np.ndarray) -> EnergyBreakdown:
     (Gauss-Bonnet); the descent dynamics of this functional at fixed volume
     is the normalized flow in :mod:`liouvillelab.flow`.
     """
-    u = _check_field(ops, u)
+    u = _field("u", u, len(ops.mass))
     dir_part = dirichlet_energy(ops, u)
     curv_part = 4.0 * integrate(ops, ops.curvature * u)
     return EnergyBreakdown(dir_part, curv_part, 0.0, dir_part + curv_part)
@@ -104,7 +95,7 @@ def perturbed_functional(
     Adding a constant to u leaves the total unchanged (exactly, because the
     discrete curvature integrates to exactly 4*pi).
     """
-    u = _check_field(ops, u)
+    u = _field("u", u, len(ops.mass))
     epsilon = _check_epsilon(epsilon)
     beta = EIGHT_PI - epsilon
     dir_part = 0.5 * dirichlet_energy(ops, u)
@@ -124,7 +115,7 @@ def perturbed_gradient(
     sum(g * h * mass); finite differences of :func:`perturbed_functional`
     converge to it.  Its mass-weighted mean vanishes identically.
     """
-    u = _check_field(ops, u)
+    u = _field("u", u, len(ops.mass))
     epsilon = _check_epsilon(epsilon)
     beta = EIGHT_PI - epsilon
     return (
@@ -144,7 +135,7 @@ def onofri_deficit(ops: DiscreteOperators, u: np.ndarray) -> float:
     """
     if not _is_round(ops.mesh):
         raise ParameterError("deficit is defined on the round background only")
-    u = _check_field(ops, u)
+    u = _field("u", u, len(ops.mass))
     return (
         dirichlet_energy(ops, u) / (16.0 * np.pi)
         + integrate(ops, u) / FOUR_PI
@@ -158,5 +149,5 @@ def conformal_curvature(ops: DiscreteOperators, u: np.ndarray) -> ScalarField:
     R_new = exp(-u) * ((S u)/mass + 2 K); the zero field returns exactly
     twice the working curvature, and constants rescale it by exp(-c).
     """
-    u = _check_field(ops, u)
+    u = _field("u", u, len(ops.mass))
     return np.exp(-u) * ((ops.stiffness @ u) / ops.mass + 2.0 * ops.curvature)

@@ -1,7 +1,8 @@
-"""Exception types shared across the laboratory, and the two checks that
-turn a bad scalar parameter into a :class:`ParameterError`: ``_count`` for
-counts, indices and seeds (integers only), ``_real`` for real parameters
-(finite only)."""
+"""Exception types shared across the laboratory, the two checks that turn a
+bad scalar parameter into a :class:`ParameterError` (``_count`` for counts,
+indices and seeds, integers only; ``_real`` for real parameters, finite
+only), and the one check that turns a bad per-vertex field into a
+:class:`DataError` (``_field``: one finite real entry per vertex)."""
 
 from __future__ import annotations
 
@@ -53,6 +54,21 @@ def _real(
 
 class DataError(LabError):
     """Input data is malformed: wrong shape, non-finite, or inconsistent."""
+
+
+def _field(name: str, values, size: int) -> np.ndarray:
+    """values as a C-contiguous float64 array of shape (size,); any other
+    shape, a bool, complex, object or string dtype, and NaN or infinite
+    entries are refused rather than cast or passed on."""
+    array = np.asarray(values)
+    if array.dtype.kind not in "iuf":
+        raise DataError(f"{name} must be real, got dtype {array.dtype}")
+    if array.shape != (size,):
+        raise DataError(f"{name} must have shape ({size},), got {array.shape}")
+    array = np.ascontiguousarray(array, dtype=np.float64)
+    if not np.isfinite(array).all():
+        raise DataError(f"{name} contains non-finite entries")
+    return array
 
 
 class MeshQualityError(LabError):

@@ -14,9 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .energy import _check_field, _exp_operator, _exp_weights, log_volume
+from .energy import _exp_operator, _exp_weights, log_volume
 from .energy import conformal_curvature, liouville_energy
-from .errors import NumericError, _real
+from .errors import NumericError, _field, _real
 from .mesh import FOUR_PI, DiscreteOperators, ScalarField, _solve
 
 _DT_FLOOR = 1e-8
@@ -84,7 +84,7 @@ def flow_step(ops: DiscreteOperators, u: ScalarField, dt: float) -> ScalarField:
     stiffness NumericError.  The returned factor has exact volume 4*pi.
     """
     dt = _real("dt", dt, 0.0)
-    u0 = _renormalize(ops, _check_field(ops, u))
+    u0 = _renormalize(ops, _field("u", u, len(ops.mass)))
     step = _guarded_step(ops, u0, liouville_energy(ops, u0).total, dt)
     if step is None:
         raise NumericError(
@@ -106,7 +106,7 @@ def run_flow(
     """
     t_end = _real("t_end", t_end, 0.0)
     dt0 = _real("dt0", dt0, 0.0)
-    u = _renormalize(ops, _check_field(ops, u0))
+    u = _renormalize(ops, _field("u0", u0, len(ops.mass)))
     trace = FlowTrace()
 
     def record(t, u_state, energy, dt_used):

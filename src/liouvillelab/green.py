@@ -25,8 +25,8 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.integrate import IntegrationWarning, quad
 
-from .energy import EIGHT_PI, _check_field
-from .errors import DataError, NumericError, ResolutionError, _count, _real
+from .energy import EIGHT_PI
+from .errors import DataError, NumericError, ResolutionError, _count, _field, _real
 from .mesh import (
     FOUR_PI,
     DiscreteOperators,
@@ -114,7 +114,7 @@ def extract_A(green: GreenResult, ops: DiscreteOperators) -> float:
     ``green`` in place and returns the constant.  A field that does not
     match the mesh or is not finite raises DataError.
     """
-    _check_field(ops, green.field)
+    _field("green.field", green.field, len(ops.mass))
     h = ops.mean_edge_length
     inner, outer = _ANNULUS_INNER * h, _ANNULUS_OUTER * h
     d = green.distances
@@ -286,7 +286,7 @@ def rescale_diagnostic(
     barycentric interpolation.  Reports the sup difference against phi0
     together with the closed-form B_R integrals.
     """
-    v = _check_field(ops, v)
+    v = _field("v", v, len(ops.mass))
     R = _real("R", R, 0.0)
     if float(v.max() - v.min()) < 1e-8:
         raise ResolutionError("field has no concentration peak (flat to 1e-8)")

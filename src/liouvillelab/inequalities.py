@@ -352,11 +352,13 @@ def onofri_suite(
     samples draw band fields, even samples (past the first) draw dilation
     factors with log-uniform scale in [1/dilation_max, dilation_max]; the
     dilations are near-equality cases, so they probe the sharp constant.
-    Margins are the deficits themselves: nonnegative up to discretization.
+    dilation_max is at most 1e150, so every drawn scale's square stays in
+    the floating-point range.  Margins are the deficits themselves:
+    nonnegative up to discretization.
     """
     samples = _count("samples", samples, 1)
     amplitude_max = _real("amplitude_max", amplitude_max, 0.0)
-    dilation_max = _real("dilation_max", dilation_max, 1.0, closed=True)
+    dilation_max = _real("dilation_max", dilation_max, 1.0, 1e150, closed=True)
 
     def margin_of(i, s_i, rng):
         if i == 0:

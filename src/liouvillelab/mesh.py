@@ -36,7 +36,7 @@ from scipy.spatial import cKDTree
 from scipy.special import sph_harm_y
 
 from .errors import DataError, MeshQualityError, NumericError, ParameterError
-from .errors import ResolutionError, _count, _real
+from .errors import ResolutionError, _count, _field, _real
 
 logger = logging.getLogger(__name__)
 
@@ -76,20 +76,19 @@ class TriangulatedSphere:
 
     def __post_init__(self):
         self.vertices = np.ascontiguousarray(self.vertices, dtype=np.float64)
-        self.faces = np.ascontiguousarray(self.faces, dtype=np.int64)
-        self.background_factor = np.ascontiguousarray(
-            self.background_factor, dtype=np.float64
-        )
+        faces = np.asarray(self.faces)
+        if faces.dtype.kind not in "iu":  # a float or bool cast would truncate
+            raise DataError(f"faces must be integers, got dtype {faces.dtype}")
+        self.faces = np.ascontiguousarray(faces, dtype=np.int64)
         if self.vertices.ndim != 2 or self.vertices.shape[1] != 3:
             raise DataError("vertices must have shape (V, 3)")
         if self.faces.ndim != 2 or self.faces.shape[1] != 3:
             raise DataError("faces must have shape (F, 3)")
-        if self.background_factor.shape != (len(self.vertices),):
-            raise DataError("background_factor must have shape (V,)")
         if not np.isfinite(self.vertices).all():
             raise DataError("vertices contain non-finite entries")
-        if not np.isfinite(self.background_factor).all():
-            raise DataError("background_factor contains non-finite entries")
+        self.background_factor = _field(
+            "background_factor", self.background_factor, len(self.vertices)
+        )
         norms = np.linalg.norm(self.vertices, axis=1)
         if np.abs(norms - 1.0).max() > _UNIT_NORM_TOL:
             raise DataError("vertices must lie on the unit sphere (|v| = 1)")
@@ -490,11 +489,7 @@ def set_conformal_background(
     With ``normalize=True`` the factor is shifted by a constant so that the
     metric volume is exactly 4*pi (computed overflow-safely).
     """
-    phi = np.ascontiguousarray(phi, dtype=np.float64)
-    if phi.shape != (mesh.num_vertices,):
-        raise DataError("phi must have one value per vertex")
-    if not np.isfinite(phi).all():
-        raise DataError("phi contains non-finite entries")
+    phi = _field("phi", phi, mesh.num_vertices)
     if normalize:
         core = _geometric_core(mesh)
         shift = phi.max()
@@ -512,9 +507,7 @@ def set_conformal_background(
 
 def integrate(ops: DiscreteOperators, f: np.ndarray) -> float:
     """Integral of a vertex field against the metric volume element."""
-    f = np.asarray(f, dtype=np.float64)
-    if f.shape != ops.mass.shape:
-        raise DataError("field length does not match the mesh")
+    f = _field("f", f, len(ops.mass))
     return float(f @ ops.mass)
 
 
@@ -524,9 +517,7 @@ def dirichlet_energy(ops: DiscreteOperators, u: np.ndarray) -> float:
     Conformally invariant: the value does not depend on the background
     factor.  Nonnegative up to roundoff (S is PSD).
     """
-    u = np.asarray(u, dtype=np.float64)
-    if u.shape != ops.mass.shape:
-        raise DataError("field length does not match the mesh")
+    u = _field("u", u, len(ops.mass))
     return float(u @ (ops.stiffness @ u))
 
 
@@ -818,14 +809,12 @@ def sample_field(
     Each query point is radially projected onto the triangle that contains
     it; candidate triangles come from the nearest vertices' incidence rings.
     """
-    values = np.asarray(values, dtype=np.float64)
+    values = _field("values", values, mesh.num_vertices)
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    if values.shape != (mesh.num_vertices,):
-        raise DataError("values length does not match the mesh")
     if points.shape[1] != 3:
         raise DataError("points must have shape (N, 3)")
-    if not (np.isfinite(values).all() and np.isfinite(points).all()):
-        raise DataError("values or points contain non-finite entries")
+    if not np.isfinite(points).all():
+        raise DataError("points contain non-finite entries")
     v, f = mesh.vertices, mesh.faces
     vert_faces = _vertex_faces(mesh)
     tree = cKDTree(v)

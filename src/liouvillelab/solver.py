@@ -11,13 +11,12 @@ import scipy.sparse as sp
 from .energy import (
     EIGHT_PI,
     _check_epsilon,
-    _check_field,
     _exp_operator,
     log_volume,
     perturbed_functional,
     perturbed_gradient,
 )
-from .errors import ConvergenceError, DataError, NumericError, _count, _real
+from .errors import ConvergenceError, NumericError, _count, _field, _real
 from .mesh import DiscreteOperators, ScalarField, _factor, _solve, integrate
 
 _STEP_FLOOR = 2.0**-30
@@ -84,9 +83,7 @@ def project_constraint(ops: DiscreteOperators, u: np.ndarray) -> ScalarField:
     Because the functional is constant-shift invariant, this projection
     changes neither the energy nor the gradient; it is idempotent.
     """
-    u = np.asarray(u, dtype=np.float64)
-    if u.shape != ops.mass.shape:
-        raise DataError("field length does not match the mesh")
+    u = _field("u", u, len(ops.mass))
     total = integrate(ops, ops.curvature)
     return u - integrate(ops, ops.curvature * u) / total
 
@@ -125,7 +122,7 @@ def minimize_perturbed(
     if initial is None:
         initial = np.zeros(ops.mass.shape)
     else:
-        initial = _check_field(ops, initial)
+        initial = _field("initial", initial, len(ops.mass))
 
     u = project_constraint(ops, initial)
     energy = perturbed_functional(ops, u, config.epsilon).total

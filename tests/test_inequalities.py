@@ -247,10 +247,10 @@ class TestOnofriSuite:
             with pytest.raises(ParameterError):
                 onofri_suite(ops3, 5, 1, dilation_max=bad)
 
-    def test_dilation_beyond_float_range_names_lam(self, ops2):
-        # Seed 0 draws a scale whose square overflows: the refusal names it
-        # rather than a non-finite field the caller never passed.
-        with pytest.raises(ParameterError, match="lam"):
+    def test_dilation_beyond_float_range_names_dilation_max(self, ops2):
+        # A bound whose square overflows is refused up front, naming the
+        # argument the caller passed rather than a scale the suite drew.
+        with pytest.raises(ParameterError, match="dilation_max"):
             onofri_suite(ops2, 5, 0, dilation_max=1e200)
 
 

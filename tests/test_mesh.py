@@ -69,6 +69,18 @@ def test_topology_validation_rejects_broken_meshes():
         TriangulatedSphere(off_sphere, faces, np.zeros(len(verts)))
 
 
+@pytest.mark.parametrize(
+    "cast",
+    [lambda f: f + 0.4, lambda f: f.astype(np.float64), lambda f: f > 0],
+    ids=["fractional", "integral-float", "bool"],
+)
+def test_non_integer_faces_refused(cast):
+    # A cast to indices would truncate face 0.4 to vertex 0.
+    mesh = build_icosphere(1)
+    with pytest.raises(DataError, match="faces must be integers"):
+        TriangulatedSphere(mesh.vertices, cast(mesh.faces), mesh.background_factor)
+
+
 def test_gauss_bonnet_exact(ops3, bumpy3):
     """Total curvature equals 4 pi by construction of the discrete K."""
     for ops in (ops3, bumpy3):
