@@ -27,6 +27,7 @@ from .errors import (
     NumericError,
     ParameterError,
     ResolutionError,
+    _text,
 )
 from .flow import run_flow
 from .green import (
@@ -102,13 +103,14 @@ class RunSpec:
     default"; amplitude defaults to None, meaning "use the command's own
     start"; output_dir defaults to runs/<command>.  Up front, before any
     work, it checks the command, that every float option is finite (the
-    manifest records every option, and JSON has no NaN or inf) and every
-    --eps against the library's epsilon rule, (0, 8*pi), so a sweep cannot
-    fail at a late stage on a bad value.  The rule also covers the
-    inequalities command, whose --eps goes to check_global_mt, although
-    that function accepts any positive epsilon.  Every other range is left
-    to the library call, which raises the same ParameterError for CLI and
-    programmatic use.
+    manifest records every option, and JSON has no NaN or inf), that only
+    sweep-eps gets more than one --eps (every other command would use the
+    first and record the rest), and every --eps against the library's
+    epsilon rule, (0, 8*pi), so a sweep cannot fail at a late stage on a
+    bad value.  The rule also covers the inequalities command, whose --eps
+    goes to check_global_mt, although that function accepts any positive
+    epsilon.  Every other range is left to the library call, which raises
+    the same ParameterError for CLI and programmatic use.
     """
 
     command: str
@@ -148,6 +150,10 @@ class RunSpec:
             raise ParameterError(f"unknown command '{self.command}'")
         if not self.epsilons:
             raise ParameterError("at least one epsilon value is required")
+        if len(self.epsilons) > 1 and self.command != "sweep-eps":
+            raise ParameterError(
+                f"--eps takes one value for {self.command}; only sweep-eps takes a list"
+            )
         for eps in self.epsilons:
             _check_epsilon(eps)
         for f in fields(self):
@@ -164,12 +170,8 @@ _OPTIONS = {f.metadata["key"]: f for f in fields(RunSpec) if f.metadata}
 
 
 def _read_config(path) -> dict:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise DataError(f"cannot read config file {path}: {exc}") from exc
     values: dict = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(_text(path, "utf-8").splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -287,7 +289,10 @@ class _Artifacts:
     """
 
     def __init__(self, outdir: Path, plots: bool):
-        outdir.mkdir(parents=True, exist_ok=True)
+        try:
+            outdir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise DataError(f"cannot create output directory {outdir}: {exc}") from exc
         self.outdir, self.plots, self.names = outdir, plots, []
 
     def _path(self, name: str) -> Path:

@@ -1,10 +1,14 @@
 """Exception types shared across the laboratory, the two checks that turn a
 bad scalar parameter into a :class:`ParameterError` (``_count`` for counts,
 indices and seeds, integers only; ``_real`` for real parameters, finite
-only), and the one check that turns a bad per-vertex field into a
-:class:`DataError` (``_field``: one finite real entry per vertex)."""
+only), the one check that turns a bad per-vertex field into a
+:class:`DataError` (``_field``: one finite real entry per vertex), and the
+one reader of a file the user names (``_text``: a file that cannot be read
+or decoded is a :class:`DataError`)."""
 
 from __future__ import annotations
+
+from pathlib import Path
 
 import numpy as np
 
@@ -69,6 +73,15 @@ def _field(name: str, values, size: int) -> np.ndarray:
     if not np.isfinite(array).all():
         raise DataError(f"{name} contains non-finite entries")
     return array
+
+
+def _text(path, encoding: str) -> str:
+    """The text of the file at path; a missing, unreadable or undecodable
+    file is refused with a DataError naming the path."""
+    try:
+        return Path(path).read_text(encoding=encoding)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
 
 
 class MeshQualityError(LabError):

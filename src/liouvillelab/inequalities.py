@@ -43,7 +43,8 @@ class InequalityReport:
     """Aggregated outcome of one inequality suite.
 
     worst_margin: min over samples of (bound - quantity); >= 0 passes.
-    worst_seed: per-sample seed that reproduces the worst margin.
+    worst_seed: per-sample seed of the first sample whose margin equals
+        worst_margin, the one rule of every sampled suite.
     parameters: suite inputs plus reported empirical constants.
     sample_margins: optional (seed, margin) rows for CSV dumps.
     """
@@ -169,23 +170,17 @@ def _disk_gap(minimum, a, b, r) -> InequalityReport:
     """The disk_floor_gap report of a disk_min_dirichlet(a, b, r) result."""
     t = a * np.exp(-2.0 * b) / (np.pi * r * r)
     bound = FOUR_PI * (np.log(t) + 1.0 / t - 1.0)
-    margin = minimum.value - bound
-    return InequalityReport(
-        name="disk_dirichlet_gap",
-        samples=1,
-        worst_margin=float(margin),
-        worst_seed=0,
-        parameters={
-            "a": a,
-            "b": b,
-            "r": r,
-            "grid_n": len(minimum.radii) - 1,
-            "t": t,
-            "value": minimum.value,
-            "bound": float(bound),
-        },
-        sample_margins=[(0, float(margin))],
-    )
+    margin = float(minimum.value - bound)
+    parameters = {
+        "a": a,
+        "b": b,
+        "r": r,
+        "grid_n": len(minimum.radii) - 1,
+        "t": t,
+        "value": minimum.value,
+        "bound": float(bound),
+    }
+    return _sampled_report("disk_dirichlet_gap", 1, 0, lambda *_: margin, parameters)
 
 
 def _tangent_project(ops, g):
@@ -267,11 +262,13 @@ def check_global_mt(
 
     Gradient ascent from a zero start plus ``trials - 1`` random band-field
     starts; the pass condition is that no ascent crosses the divergence
-    threshold.  The best value found is the empirical log-supremum
-    constant, reported in parameters["sup_value"], and worst_seed is the
-    first trial that reached it.  On the round sphere the supremum is
-    ln(4 pi), attained by constants, and every trial ends there to
-    roundoff, so worst_seed is a roundoff tie-break.
+    threshold.  A trial's margin is the threshold minus its value.  The best
+    value found is the empirical log-supremum constant, reported in
+    parameters["sup_value"], and worst_seed is the first trial that reached
+    it up to the rounding of the margin: the first with the worst margin.
+    On the round sphere the supremum is ln(4 pi), attained by constants,
+    and every trial ends there to roundoff, so the margins tie and
+    worst_seed is the first trial's seed.
 
     The ascent steps in the negative Hessian at the constant,
     H = K + (2/A^2) m m^T with K = 2 kappa S - diag(m)/A and A the total
@@ -285,7 +282,7 @@ def check_global_mt(
     """
     epsilon = _real("epsilon", epsilon, 0.0)
     trials = _count("trials", trials, 1)
-    best_value, best_seed = -np.inf, sample_seed(seed, 0)
+    seed = _count("seed", seed, 0)
     kappa = 1.0 / SIXTEEN_PI + epsilon
     area = ops.total_area
     solve_k = _factor(
@@ -304,39 +301,30 @@ def check_global_mt(
         return _factor(metric, "ascent Sobolev metric", ops.mesh)
 
     metrics = (solve_hessian, lambda rhs: sobolev_factor()(rhs))
-    rows = []
-    total_iterations = 0
-    diverged_any = False
-    for i in range(trials):
-        s_i = sample_seed(seed, i)
+    ascents = []  # (value, accepted steps, diverged) per trial
+
+    def margin_of(i, s_i, rng):
         if i == 0:
             u0 = np.zeros(ops.mass.shape)
         else:
-            rng = np.random.default_rng(s_i)
             bands = int(rng.integers(3, 12))
             amp = float(rng.uniform(0.3, 2.0))
             u0 = random_band_field(ops.mesh, s_i, bands, amp)
-        value, iters, diverged = _ascend(ops, u0, kappa, metrics, _ASCENT_CAP)
-        total_iterations += iters
-        diverged_any = diverged_any or diverged
-        rows.append((s_i, _DIVERGENCE_THRESHOLD - value))
-        if value > best_value:
-            best_value, best_seed = value, s_i
-    return InequalityReport(
-        name="global_exponential_sup",
-        samples=trials,
-        worst_margin=float(_DIVERGENCE_THRESHOLD - best_value),
-        worst_seed=best_seed,
-        parameters={
-            "epsilon": epsilon,
-            "sup_value": float(best_value),
-            "diverged": diverged_any,
-            "iteration_cap": _ASCENT_CAP,
-            "divergence_threshold": _DIVERGENCE_THRESHOLD,
-            "total_iterations": total_iterations,
-        },
-        sample_margins=rows,
+        ascents.append(_ascend(ops, u0, kappa, metrics, _ASCENT_CAP))
+        return _DIVERGENCE_THRESHOLD - ascents[-1][0]
+
+    report = _sampled_report(
+        "global_exponential_sup", trials, seed, margin_of, {"epsilon": epsilon}
     )
+    values, iterations, diverged = zip(*ascents)
+    report.parameters.update(
+        sup_value=float(max(values)),
+        diverged=any(diverged),
+        iteration_cap=_ASCENT_CAP,
+        divergence_threshold=_DIVERGENCE_THRESHOLD,
+        total_iterations=sum(iterations),
+    )
+    return report
 
 
 def onofri_suite(
@@ -419,14 +407,10 @@ def poincare_constant(
         c_p = float(pencil.max())
         report_samples, worst_seed = 1, seed
     else:
-        best = -np.inf
-        worst_seed = sample_seed(seed, 0)
         inv_mass = 1.0 / ops.mass
-        for i in range(starts):
-            s_i = sample_seed(seed, i)
-            rng = np.random.default_rng(s_i)
-            coeffs = rng.standard_normal(modes)
-            u = _tangent_project(ops, vecs @ coeffs)
+
+        def margin_of(i, s_i, rng):
+            u = _tangent_project(ops, vecs @ rng.standard_normal(modes))
             for _ in range(iterations):
                 norm2 = float((u * u) @ ops.mass)
                 if norm2 < 1e-30:
@@ -446,10 +430,11 @@ def poincare_constant(
                 u = u + 0.1 * direction / max(1.0, d_norm)
             su = ops.stiffness @ u
             quotient = float((np.abs(u) ** p) @ ops.mass) ** (2.0 / p) / float(u @ su)
-            if quotient > best:
-                best, worst_seed = quotient, s_i
-        c_p = float(best)
-        report_samples = starts
+            return -quotient
+
+        # The largest quotient is the smallest margin; negation is exact.
+        ascent = _sampled_report("poincare_constant", starts, seed, margin_of, {})
+        report_samples, c_p, worst_seed = starts, -ascent.worst_margin, ascent.worst_seed
     return InequalityReport(
         name="poincare_constant",
         samples=report_samples,

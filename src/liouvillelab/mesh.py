@@ -36,7 +36,7 @@ from scipy.spatial import cKDTree
 from scipy.special import sph_harm_y
 
 from .errors import DataError, MeshQualityError, NumericError, ParameterError
-from .errors import ResolutionError, _count, _field, _real
+from .errors import ResolutionError, _count, _field, _real, _text
 
 logger = logging.getLogger(__name__)
 
@@ -865,19 +865,11 @@ def read_off_mesh(path) -> TriangulatedSphere:
     same invariants as a built one (unit vertices, closed, oriented); the
     background factor starts at zero.
     """
-    with open(path, "r", encoding="ascii") as fh:
-        tokens: list[str] = []
-        first = None
-        for line in fh:
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if first is None:
-                first = line
-                continue
-            tokens.extend(line.split())
-    if first != "OFF":
+    lines = [line.split("#", 1)[0].strip() for line in _text(path, "ascii").splitlines()]
+    lines = [line for line in lines if line]
+    if not lines or lines[0] != "OFF":
         raise DataError("not an OFF file (missing header)")
+    tokens = " ".join(lines[1:]).split()
     try:
         nv, nf = int(tokens[0]), int(tokens[1])
         pos = 3
@@ -907,20 +899,19 @@ def write_field_csv(path, values: np.ndarray) -> None:
 
 def read_field_csv(path, expected_vertices: int | None = None) -> np.ndarray:
     """Read a 'vertex,value' CSV written by :func:`write_field_csv`."""
-    with open(path, "r", newline="", encoding="ascii") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header[:2]] != ["vertex", "value"]:
-            raise DataError("field CSV must start with a 'vertex,value' header")
-        idx, vals = [], []
-        for row in reader:
-            if not row:
-                continue
-            try:
-                idx.append(int(row[0]))
-                vals.append(float(row[1]))
-            except (IndexError, ValueError) as exc:
-                raise DataError(f"malformed field CSV row {row}: {exc}") from exc
+    reader = csv.reader(_text(path, "ascii").splitlines())
+    header = next(reader, None)
+    if header is None or [h.strip() for h in header[:2]] != ["vertex", "value"]:
+        raise DataError("field CSV must start with a 'vertex,value' header")
+    idx, vals = [], []
+    for row in reader:
+        if not row:
+            continue
+        try:
+            idx.append(int(row[0]))
+            vals.append(float(row[1]))
+        except (IndexError, ValueError) as exc:
+            raise DataError(f"malformed field CSV row {row}: {exc}") from exc
     n = len(vals)
     if sorted(idx) != list(range(n)):
         raise DataError("field CSV must cover vertices 0..V-1 exactly once")

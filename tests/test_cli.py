@@ -331,6 +331,27 @@ class TestConfigFile:
     def test_missing_config_file(self, tmp_path):
         assert run(["mesh-info", "--config", tmp_path / "absent.cfg"]) == 2
 
+    @pytest.mark.parametrize(
+        ("option", "content"),
+        [
+            ("--mesh-file", None),
+            ("--mesh-file", b"OFF\n\xff\n"),
+            ("--config", b"level = 1 # \xff\n"),
+        ],
+        ids=["missing-mesh", "mesh-not-ascii", "config-not-utf8"],
+    )
+    def test_unreadable_input_file(self, tmp_path, capsys, option, content):
+        # A file the user names that cannot be read or decoded is one typed
+        # line naming it, not a traceback.
+        path = tmp_path / "input"
+        if content is not None:
+            path.write_bytes(content)
+        out = tmp_path / "out"
+        assert run(["mesh-info", option, path, "--out", out]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("DataError in ") and f"cannot read {path}:" in line
+        assert not any(out.glob("*"))
+
 
 class TestExitCodes:
     def test_unknown_command(self):
@@ -351,6 +372,24 @@ class TestExitCodes:
         assert proc.returncode == 2
         assert proc.stderr == in_process
         assert "in cli.parse_and_run" in in_process
+
+    def test_out_naming_a_file(self, tmp_path, capsys):
+        afile = tmp_path / "afile"
+        afile.write_text("kept\n")
+        assert run(["mesh-info", "--level", 1, "--out", afile]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("DataError in ")
+        assert f"cannot create output directory {afile}:" in line
+        assert sorted(tmp_path.iterdir()) == [afile]
+        assert afile.read_text() == "kept\n"
+
+    @pytest.mark.parametrize("command", sorted(set(cli._HANDLERS) - {"sweep-eps"}))
+    def test_eps_list_only_for_sweep(self, tmp_path, capsys, command):
+        # Every other command would run the first value and record both.
+        assert run([command, "--level", 1, "--eps", "0.5,0.25", "--out", tmp_path]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("ParameterError in ") and "only sweep-eps" in line
+        assert not any(tmp_path.iterdir())
 
     def test_bad_bubble_radius(self, tmp_path):
         assert run(["bubble", "--R", -1, "--out", tmp_path]) == 2

@@ -1,4 +1,5 @@
 import heapq
+import re
 import warnings
 
 import numpy as np
@@ -518,6 +519,19 @@ def test_off_reader_rejects_garbage(tmp_path):
     quad.write_text("OFF\n4 1 0\n0 0 1\n1 0 0\n0 1 0\n-1 0 0\n4 0 1 2 3\n")
     with pytest.raises(DataError):
         read_off_mesh(quad)
+
+
+@pytest.mark.parametrize("reader", [read_off_mesh, read_field_csv])
+def test_readers_refuse_unreadable_files(tmp_path, reader):
+    absent = tmp_path / "absent"
+    with pytest.raises(DataError, match=re.escape(f"cannot read {absent}")):
+        reader(absent)
+    binary = tmp_path / "binary"
+    binary.write_bytes(b"OFF\n\xff\n")
+    with pytest.raises(DataError, match="can't decode byte 0xff"):
+        reader(binary)
+    with pytest.raises(DataError, match="cannot read"):
+        reader(tmp_path)  # a directory
 
 
 def test_field_csv_roundtrip_and_validation(tmp_path, rng):
