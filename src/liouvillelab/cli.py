@@ -289,13 +289,19 @@ class _Artifacts:
     """
 
     def __init__(self, outdir: Path, plots: bool):
-        try:
-            outdir.mkdir(parents=True, exist_ok=True)
-        except OSError as exc:
-            raise DataError(f"cannot create output directory {outdir}: {exc}") from exc
         self.outdir, self.plots, self.names = outdir, plots, []
+        if outdir.exists():
+            self._mkdir()  # refuses an --out naming a file before any work
+
+    def _mkdir(self):
+        try:
+            self.outdir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise DataError(f"cannot create output directory {self.outdir}: {exc}") from exc
 
     def _path(self, name: str) -> Path:
+        if not self.names:
+            self._mkdir()  # at the first write, so a run that fails first leaves none
         self.names.append(name)
         return self.outdir / name
 
@@ -580,16 +586,10 @@ def _cmd_disk(spec: RunSpec, out: _Artifacts):
     out.json(
         "disk.json",
         {
-            "a": spec.a,
-            "b": spec.b,
-            "r": spec.r,
-            "grid_n": gap.parameters["grid_n"],
-            "value": minimum.value,
+            **gap.parameters,
             "multiplier": minimum.multiplier,
             "residual": minimum.residual,
-            "bound": gap.parameters["bound"],
             "margin": gap.worst_margin,
-            "t": gap.parameters["t"],
         },
     )
     out.csv(

@@ -28,7 +28,7 @@ from .mesh import (
     mobius_dilation_factor,
     random_band_field,
 )
-from .solver import disk_min_dirichlet, mass_norm, project_constraint
+from .solver import _disk_ratio, disk_min_dirichlet, mass_norm, project_constraint
 
 SIXTEEN_PI = 16.0 * np.pi
 
@@ -168,7 +168,7 @@ def disk_floor_gap(a: float, b: float, r: float, grid_n: int = 4096) -> Inequali
 
 def _disk_gap(minimum, a, b, r) -> InequalityReport:
     """The disk_floor_gap report of a disk_min_dirichlet(a, b, r) result."""
-    t = a * np.exp(-2.0 * b) / (np.pi * r * r)
+    t = _disk_ratio(a, b, r)
     bound = FOUR_PI * (np.log(t) + 1.0 / t - 1.0)
     margin = float(minimum.value - bound)
     parameters = {

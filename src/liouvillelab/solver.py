@@ -239,8 +239,10 @@ class DiskMinimum:
     """Constrained radial Dirichlet minimum on a flat disk.
 
     value is the full Dirichlet integral 2*pi * int w'(rho)^2 rho d rho;
-    radii and profile sample the minimizer; multiplier is the constraint
-    multiplier at the solution, and residual the final Newton residual.
+    radii and profile sample the minimizer.  multiplier is the constraint
+    multiplier at the solution, mapped back from the unit disk as
+    mu / (r^2 exp(2 b)); residual is the final Newton residual on the unit
+    disk, which is dimensionless (see :func:`disk_min_dirichlet`).
     """
 
     value: float
@@ -250,85 +252,83 @@ class DiskMinimum:
     residual: float
 
 
-def disk_min_dirichlet(
-    a: float, b: float, r: float, grid_n: int = 4096
-) -> DiskMinimum:
+def _disk_ratio(a: float, b: float, r: float) -> float:
+    """t = a exp(-2b) / (pi r^2), the disk problem's one parameter; finite, > 0."""
+    with np.errstate(all="ignore"):
+        t = a * np.exp(-2.0 * b) / (np.pi * r * r)
+    return _real("t = a exp(-2b) / (pi r^2)", float(t), 0.0)
+
+
+@np.errstate(over="ignore", invalid="ignore")  # an overflowing trial fails its test
+def disk_min_dirichlet(a: float, b: float, r: float, grid_n: int = 4096) -> DiskMinimum:
     """Minimize int |grad w|^2 over the disk of radius r subject to
     int exp(2 w) dx = a and boundary value w = b.
 
-    Radial finite differences with trapezoid cell quadrature; Newton on the
-    Lagrange system with continuation in the log of the constraint level
-    (the unconstrained start w = b is exact for a = pi r^2 exp(2 b)).
-    Second-order accurate: doubling grid_n quarters the error.
+    The problem depends on (a, b, r) only through t = a exp(-2b) / (pi r^2):
+    w(rho) = b + v(rho / r), where v minimizes on the unit disk with v(1) = 0
+    and int exp(2 v) = pi t; the multiplier maps back as mu / (r^2 exp(2 b)).
+    Radial finite differences with trapezoid cell quadrature, for which the
+    map is exact too.  Newton on the Lagrange system, with continuation in
+    ln t from v = 0 (exact at t = 1), damps on a dimensionless residual: the
+    unit-disk gradient and the constraint gap relative to the stage's target.
+    It stops when its correction is below 1e-10.  Second-order accurate:
+    doubling grid_n quarters the error.
     """
     a = _real("a", a, 0.0)
     b = _real("b", b)
     r = _real("r", r, 0.0)
     n = _count("grid_n", grid_n, 256)
-    h = r / n
-    rho = np.arange(n + 1) * h
-    # Quadrature weights for int_0^r f rho d rho over cells around nodes.
-    q = np.empty(n + 1)
-    q[0] = h * h / 8.0
-    q[1:n] = rho[1:n] * h
-    q[n] = r * h / 2.0 - h * h / 8.0
-    rho_mid = 0.5 * (rho[:-1] + rho[1:])
-    main = np.zeros(n + 1)
-    main[:-1] += rho_mid / h
-    main[1:] += rho_mid / h
-    form = sp.diags([-rho_mid / h, main, -rho_mid / h], [-1, 0, 1]).tocsc()
-    two_pi = 2.0 * np.pi
-    # Scale-free constraint level; w = b, multiplier 0 solves level 1.
-    level_target = a * np.exp(-2.0 * b) / (np.pi * r * r)
-    log_level = np.log(level_target)
-    n_stages = max(1, int(np.ceil(abs(log_level) / 0.4)))
+    log_t = np.log(_disk_ratio(a, b, r))
+    h = 1.0 / n
+    # Trapezoid cell weights of int_0^1 f rho d rho at the nodes rho_i = i h,
+    # and the conductances rho_{j+1/2} / h = j + 1/2 of the Dirichlet form
+    # sum_j k_j (v_{j+1} - v_j)^2, whose interior block is the Newton matrix's.
+    q = h * h * np.concatenate(([0.125], np.arange(1.0, n), [n / 2.0 - 0.125]))
+    k = np.arange(n) + 0.5
+    interior = sp.diags([-k[:-1], k + np.append(0.0, k[:-1]), -k[:-1]], [-1, 0, 1])
 
-    w = np.full(n + 1, b)
-    mu = 0.0
-    res_norm = 0.0
-    interior = form[:n, :n]
+    def residual(v, mu, target):
+        # Interior Lagrange gradient, in flux differences so its roundoff stays
+        # at the fluxes' size, and the gap of sum(q e^{2v}) relative to target.
+        qe = q * np.exp(2.0 * v)
+        grad = -2.0 * np.diff(k * np.diff(v), prepend=0.0) - 2.0 * mu * qe[:n]
+        gap = qe.sum() / target - 1.0
+        return grad, gap, qe, float(np.sqrt(grad @ grad + gap * gap))
+
+    n_stages = max(1, int(np.ceil(abs(log_t) / 0.4)))
+    v, mu = np.zeros(n + 1), 0.0
     for stage in range(1, n_stages + 1):
-        level = np.exp(log_level * stage / n_stages)
-        a_stage = level * np.pi * r * r * np.exp(2.0 * b) / two_pi
-        scale = max(1.0, a_stage)
+        target = np.exp(log_t * stage / n_stages) / 2.0  # int_0^1 e^{2v} rho d rho
         for _ in range(80):
-            e2w = np.exp(2.0 * w)
-            grad_w = 2.0 * (form @ w)[:n] - 2.0 * mu * q[:n] * e2w[:n]
-            gap = (q * e2w).sum() - a_stage
-            res_norm = float(np.sqrt((grad_w**2).sum() + gap * gap))
-            if res_norm < 1e-10 * scale:
-                break
-            hess = 2.0 * interior - sp.diags(4.0 * mu * q[:n] * e2w[:n])
-            column = -2.0 * (q[:n] * e2w[:n])
-            # KKT system [[hess, column], [-column^T, 0]] by its Schur
+            grad, gap, qe, res_norm = residual(v, mu, target)
+            hess = 2.0 * interior - sp.diags(4.0 * mu * qe[:n])
+            column = -2.0 * qe[:n]
+            # KKT system [[hess, column], [-column^T / target, 0]] by its Schur
             # complement: one tridiagonal solve for both right-hand sides
             # keeps the border out of the pivoting.
-            y, z = _solve(
-                hess, np.column_stack([-grad_w, column]), "disk Newton step"
-            ).T
-            d_mu = (column @ y - gap) / (column @ z)
-            d_w = y - d_mu * z
+            y, z = _solve(hess, np.column_stack([-grad, column]), "disk Newton step").T
+            d_mu = (column @ y - gap * target) / (column @ z)
+            d_v = np.append(y - d_mu * z, 0.0)
+            if max(np.abs(d_v).max(), abs(d_mu) / max(1.0, abs(mu))) <= 1e-10:
+                v, mu = v + d_v, mu + d_mu
+                break  # Newton's last correction: the rest is below roundoff
             damping = 1.0
             while damping >= _STEP_FLOOR:
-                w_try = w.copy()
-                w_try[:n] += damping * d_w
-                mu_try = mu + damping * d_mu
-                e2w_t = np.exp(2.0 * w_try)
-                g_t = 2.0 * (form @ w_try)[:n] - 2.0 * mu_try * q[:n] * e2w_t[:n]
-                gap_t = (q * e2w_t).sum() - a_stage
-                if np.sqrt((g_t**2).sum() + gap_t * gap_t) < res_norm:
+                if residual(v + damping * d_v, mu + damping * d_mu, target)[3] < res_norm:
                     break
                 damping *= 0.5
             else:
-                if res_norm <= 1e-8 * scale:
+                if res_norm <= 1e-8:
                     break  # roundoff plateau; the solution is converged
                 raise NumericError("disk continuation hit the damping floor")
-            w, mu = w_try, mu_try
+            v, mu = v + damping * d_v, mu + damping * d_mu
         else:
             raise ConvergenceError(
                 f"disk Newton did not converge at stage {stage}/{n_stages} "
                 f"(residual {res_norm:.3e})",
-                best=w,
+                best=b + v,
             )
-    value = float(two_pi * (w @ (form @ w)))
-    return DiskMinimum(value, rho, w, float(mu), res_norm)
+    value = float(2.0 * np.pi * (k @ np.diff(v) ** 2))  # scale-free: no mapping
+    multiplier = float(mu / (r * r * np.exp(2.0 * b)))
+    radii = r * np.linspace(0.0, 1.0, n + 1)
+    return DiskMinimum(value, radii, b + v, multiplier, residual(v, mu, target)[3])

@@ -238,6 +238,20 @@ class TestSingleCommands:
         assert abs(info["value"]) < 1e-10
         assert abs(info["margin"]) < 1e-10
 
+    def test_disk_gaps_depend_on_t_only(self, tmp_path):
+        # The four disk gaps run at fixed t, so moving b and r changes nothing.
+        margins = []
+        for extra in ([], ["--b", -5, "--r", 0.01]):
+            out = tmp_path / str(len(margins))
+            args = ["inequalities", "--level", 2, "--samples", 3, "--trials", 1]
+            assert run(args + extra + ["--no-plots", "--out", out]) == 0
+            reports = json.loads((out / "inequalities.json").read_text())
+            margins.append(
+                [r["worst_margin"] for r in reports if r["name"] == "disk_dirichlet_gap"]
+            )
+        assert len(margins[0]) == 4
+        assert np.allclose(margins[1], margins[0], rtol=0.0, atol=1e-9)
+
     def test_inequalities_bundle(self, tmp_path, capsys):
         code = run(
             [
@@ -382,6 +396,22 @@ class TestExitCodes:
         assert f"cannot create output directory {afile}:" in line
         assert sorted(tmp_path.iterdir()) == [afile]
         assert afile.read_text() == "kept\n"
+
+    def test_failed_run_leaves_no_directory(self, tmp_path, capsys):
+        # The output directory is made at the first write, not before the work.
+        out = tmp_path / "o1"
+        assert run(["mesh-info", "--mesh-file", tmp_path / "absent.off", "--out", out]) == 2
+        assert capsys.readouterr().err.startswith("DataError in ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("option", ["--b=-400", "--b=400", "--r=1e-200"])
+    def test_disk_ratio_out_of_range(self, tmp_path, capsys, option):
+        # Each is finite, but t = a e^{-2b} / (pi r^2) over- or underflows.
+        out = tmp_path / "out"
+        assert run(["disk", option, "--out", out]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("ParameterError in solver.disk_min_dirichlet: t = ")
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", sorted(set(cli._HANDLERS) - {"sweep-eps"}))
     def test_eps_list_only_for_sweep(self, tmp_path, capsys, command):

@@ -8,6 +8,7 @@ Warnings count as stderr lines, because outside pytest they print there.
 import contextlib
 import io
 import json
+import math
 import re
 import tempfile
 import warnings
@@ -34,18 +35,30 @@ OPTIONS = {
     "tol": (st.floats(1e-13, 1e-2), st.sampled_from([0.0, -1.0, *NON_FINITE])),
     "grid-n": (st.integers(256, 600), st.integers(-2, 255)),
 }
+# The disk command's own options.  A good --a is drawn as t and passed as
+# a = t pi r^2 e^{2b}: t <= 2 keeps the gap's O(h^2) quadrature bias within
+# the 1e-5 the gap tests allow at every drawn grid (it grows like t h^2).
+DISK_OPTIONS = {
+    "a": (st.floats(1e-3, 2.0), st.sampled_from([0.0, -1.0, *NON_FINITE])),
+    "b": (st.floats(-6.0, 6.0), st.sampled_from([-400.0, 400.0, *NON_FINITE])),
+    "r": (st.floats(1e-3, 1e3), st.sampled_from([0.0, -1.0, *NON_FINITE])),
+}
 
 
 @st.composite
 def command_lines(draw):
     """A command line with some options set and at most one bad value."""
-    command = draw(st.sampled_from(["minimize", "sweep-eps", "inequalities"]))
+    command = draw(st.sampled_from(["minimize", "sweep-eps", "inequalities", "disk"]))
+    options = {**OPTIONS, **DISK_OPTIONS} if command == "disk" else OPTIONS
     values = {
-        name: draw(st.one_of(st.none(), good)) for name, (good, _) in OPTIONS.items()
+        name: draw(st.one_of(st.none(), good)) for name, (good, _) in options.items()
     }
-    bad = draw(st.one_of(st.none(), st.sampled_from(sorted(OPTIONS))))
+    if values.get("a") is not None:
+        b, r = values["b"] or 0.0, values["r"] or 1.0
+        values["a"] *= math.pi * r * r * math.exp(2.0 * b)
+    bad = draw(st.one_of(st.none(), st.sampled_from(sorted(options))))
     if bad is not None:
-        values[bad] = draw(OPTIONS[bad][1])
+        values[bad] = draw(options[bad][1])
     if command == "sweep-eps" and values["eps"] is not None:
         more = draw(st.lists(OPTIONS["eps"][0], max_size=2))
         values["eps"] = ",".join(repr(v) for v in [values["eps"], *more])
@@ -79,6 +92,9 @@ def test_cli_exit_contract(args):
             assert len(lines) == 1 and TYPED_LINE.fullmatch(lines[0]), lines
         for path in Path(tmp).glob("*.json"):
             json.loads(path.read_text(), parse_constant=_reject_constant)
+        if args[0] == "disk" and code == 0:
+            margin = json.loads((Path(tmp) / "disk.json").read_text())["margin"]
+            assert margin >= -1e-5, (args, margin)
 
 
 def _reject_constant(name):

@@ -330,6 +330,21 @@ def test_disk_value_depends_only_on_volume_ratio():
     assert np.array_equal(as_int.profile, as_float.profile)
 
 
+@pytest.mark.parametrize("t", [0.01, 0.5, 2.0, 100.0])
+def test_disk_solves_one_problem_per_t(t):
+    # w(rho) = b + v(rho / r) maps every (b, r) at the same t onto one
+    # unit-disk problem, so each cell must converge to the (0, 1) answer.
+    ref = disk_min_dirichlet(t * np.pi, 0.0, 1.0)
+    for b, r in [(3.0, 1.0), (0.0, 50.0), (-5.0, 0.01), (-5.0, 1.0), (0.0, 0.01)]:
+        scale = r * r * np.exp(2.0 * b)
+        cell = disk_min_dirichlet(t * np.pi * scale, b, r)
+        assert abs(cell.value - ref.value) <= 1e-12 * abs(ref.value)
+        assert np.abs((cell.profile - b) - ref.profile).max() <= 1e-12
+        assert np.abs(cell.radii / r - ref.radii).max() <= 1e-12
+        mapped = cell.multiplier * scale
+        assert abs(mapped - ref.multiplier) <= 1e-12 * abs(ref.multiplier)
+
+
 def test_disk_profile_boundary_and_shape():
     result = disk_min_dirichlet(2.0 * np.pi, 0.0, 1.0)
     assert result.profile[-1] == 0.0
@@ -353,3 +368,7 @@ def test_disk_rejects_bad_parameters():
             disk_min_dirichlet(*args)
     with pytest.raises(ParameterError):
         disk_min_dirichlet(np.pi, 0.0, 1.0, grid_n=255)
+    # finite parameters whose t = a e^{-2b} / (pi r^2) over- or underflows
+    for args in [(np.pi, -400.0, 1.0), (np.pi, 400.0, 1.0), (np.pi, 0.0, 1e-200)]:
+        with pytest.raises(ParameterError, match="t = a exp"):
+            disk_min_dirichlet(*args)
