@@ -16,10 +16,11 @@ from .energy import (
     perturbed_functional,
     perturbed_gradient,
 )
-from .errors import ConvergenceError, NumericError, _count, _field, _real
+from .errors import ConvergenceError, NumericError, ResolutionError, _count, _field, _real
 from .mesh import DiscreteOperators, ScalarField, _factor, _solve, integrate
 
 _STEP_FLOOR = 2.0**-30
+_DISK_MAX_JUMP = np.log(2.0) / 2.0  # exp(2 v0) may at most double across a disk cell
 _H1_STEPS = 3  # H1 steps before the first Newton try and after a rejected one
 _LINE_SEARCH_SHRINK = 0.5
 _SUFFICIENT_DECREASE = 1e-4  # Armijo constant
@@ -241,8 +242,9 @@ class DiskMinimum:
     value is the full Dirichlet integral 2*pi * int w'(rho)^2 rho d rho;
     radii and profile sample the minimizer.  multiplier is the constraint
     multiplier at the solution, mapped back from the unit disk as
-    mu / (r^2 exp(2 b)); residual is the final Newton residual on the unit
-    disk, which is dimensionless (see :func:`disk_min_dirichlet`).
+    mu / (r^2 exp(2 b)); residual is the Lagrange residual of the returned
+    unit-disk solution, dimensionless: the interior gradient and the volume
+    gap relative to pi t (see :func:`disk_min_dirichlet`).
     """
 
     value: float
@@ -259,7 +261,7 @@ def _disk_ratio(a: float, b: float, r: float) -> float:
     return _real("t = a exp(-2b) / (pi r^2)", float(t), 0.0)
 
 
-@np.errstate(over="ignore", invalid="ignore")  # an overflowing trial fails its test
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")  # _solve checks the step
 def disk_min_dirichlet(a: float, b: float, r: float, grid_n: int = 4096) -> DiskMinimum:
     """Minimize int |grad w|^2 over the disk of radius r subject to
     int exp(2 w) dx = a and boundary value w = b.
@@ -268,17 +270,28 @@ def disk_min_dirichlet(a: float, b: float, r: float, grid_n: int = 4096) -> Disk
     w(rho) = b + v(rho / r), where v minimizes on the unit disk with v(1) = 0
     and int exp(2 v) = pi t; the multiplier maps back as mu / (r^2 exp(2 b)).
     Radial finite differences with trapezoid cell quadrature, for which the
-    map is exact too.  Newton on the Lagrange system, with continuation in
-    ln t from v = 0 (exact at t = 1), damps on a dimensionless residual: the
-    unit-disk gradient and the constraint gap relative to the stage's target.
-    It stops when its correction is below 1e-10.  Second-order accurate:
-    doubling grid_n quarters the error.
+    map is exact too.  Newton on the Lagrange system starts at the continuum
+    minimizer v0 = ln t - ln(1 + (t - 1) rho^2), mu0 = 4 (t - 1) / t^2, which
+    the answer differs from by O(h^2), takes full steps and stops when its
+    correction is below 1e-10.  A grid on which v0 changes by more than
+    ln 2 / 2 between neighbouring nodes (exp(2 v0) more than doubles across a
+    cell) cannot hold the profile: ResolutionError, before any solve.
+    Second-order accurate: doubling grid_n quarters the error.
     """
     a = _real("a", a, 0.0)
     b = _real("b", b)
     r = _real("r", r, 0.0)
     n = _count("grid_n", grid_n, 256)
-    log_t = np.log(_disk_ratio(a, b, r))
+    t = _disk_ratio(a, b, r)
+    rho = np.linspace(0.0, 1.0, n + 1)
+    # 1 + (t - 1) rho^2 in a form that is exactly t at rho = 1, so v0(1) = 0.
+    log_density = np.log(t * rho * rho + (1.0 - rho * rho))
+    jump = float(np.abs(np.diff(log_density)).max())
+    if jump > _DISK_MAX_JUMP:
+        raise ResolutionError(
+            f"disk profile at t = {t:.6g} changes by {jump:.3g} between "
+            f"neighbouring nodes of grid_n = {n}, above ln 2 / 2"
+        )
     h = 1.0 / n
     # Trapezoid cell weights of int_0^1 f rho d rho at the nodes rho_i = i h,
     # and the conductances rho_{j+1/2} / h = j + 1/2 of the Dirichlet form
@@ -286,8 +299,9 @@ def disk_min_dirichlet(a: float, b: float, r: float, grid_n: int = 4096) -> Disk
     q = h * h * np.concatenate(([0.125], np.arange(1.0, n), [n / 2.0 - 0.125]))
     k = np.arange(n) + 0.5
     interior = sp.diags([-k[:-1], k + np.append(0.0, k[:-1]), -k[:-1]], [-1, 0, 1])
+    target = t / 2.0  # int_0^1 e^{2v} rho d rho
 
-    def residual(v, mu, target):
+    def residual(v, mu):
         # Interior Lagrange gradient, in flux differences so its roundoff stays
         # at the fluxes' size, and the gap of sum(q e^{2v}) relative to target.
         qe = q * np.exp(2.0 * v)
@@ -295,40 +309,26 @@ def disk_min_dirichlet(a: float, b: float, r: float, grid_n: int = 4096) -> Disk
         gap = qe.sum() / target - 1.0
         return grad, gap, qe, float(np.sqrt(grad @ grad + gap * gap))
 
-    n_stages = max(1, int(np.ceil(abs(log_t) / 0.4)))
-    v, mu = np.zeros(n + 1), 0.0
-    for stage in range(1, n_stages + 1):
-        target = np.exp(log_t * stage / n_stages) / 2.0  # int_0^1 e^{2v} rho d rho
-        for _ in range(80):
-            grad, gap, qe, res_norm = residual(v, mu, target)
-            hess = 2.0 * interior - sp.diags(4.0 * mu * qe[:n])
-            column = -2.0 * qe[:n]
-            # KKT system [[hess, column], [-column^T / target, 0]] by its Schur
-            # complement: one tridiagonal solve for both right-hand sides
-            # keeps the border out of the pivoting.
-            y, z = _solve(hess, np.column_stack([-grad, column]), "disk Newton step").T
-            d_mu = (column @ y - gap * target) / (column @ z)
-            d_v = np.append(y - d_mu * z, 0.0)
-            if max(np.abs(d_v).max(), abs(d_mu) / max(1.0, abs(mu))) <= 1e-10:
-                v, mu = v + d_v, mu + d_mu
-                break  # Newton's last correction: the rest is below roundoff
-            damping = 1.0
-            while damping >= _STEP_FLOOR:
-                if residual(v + damping * d_v, mu + damping * d_mu, target)[3] < res_norm:
-                    break
-                damping *= 0.5
-            else:
-                if res_norm <= 1e-8:
-                    break  # roundoff plateau; the solution is converged
-                raise NumericError("disk continuation hit the damping floor")
-            v, mu = v + damping * d_v, mu + damping * d_mu
-        else:
-            raise ConvergenceError(
-                f"disk Newton did not converge at stage {stage}/{n_stages} "
-                f"(residual {res_norm:.3e})",
-                best=b + v,
-            )
+    v, mu = np.log(t) - log_density, 4.0 * (t - 1.0) / (t * t)
+    for _ in range(80):
+        grad, gap, qe, res_norm = residual(v, mu)
+        hess = 2.0 * interior - sp.diags(4.0 * mu * qe[:n])
+        column = -2.0 * qe[:n]
+        # KKT system [[hess, column], [-column^T / target, 0]] by its Schur
+        # complement: one tridiagonal solve for both right-hand sides
+        # keeps the border out of the pivoting.
+        y, z = _solve(hess, np.column_stack([-grad, column]), "disk Newton step").T
+        d_mu = (column @ y - gap * target) / (column @ z)
+        d_v = np.append(y - d_mu * z, 0.0)
+        step = max(np.abs(d_v).max(), abs(d_mu) / max(1.0, abs(mu)))
+        v, mu = v + d_v, mu + d_mu
+        if step <= 1e-10:
+            break  # Newton's last correction: the rest is below roundoff
+    else:
+        raise ConvergenceError(
+            f"disk Newton did not converge in 80 steps (residual {res_norm:.3e})",
+            best=b + v,
+        )
     value = float(2.0 * np.pi * (k @ np.diff(v) ** 2))  # scale-free: no mapping
     multiplier = float(mu / (r * r * np.exp(2.0 * b)))
-    radii = r * np.linspace(0.0, 1.0, n + 1)
-    return DiskMinimum(value, radii, b + v, multiplier, residual(v, mu, target)[3])
+    return DiskMinimum(value, r * rho, b + v, multiplier, residual(v, mu)[3])

@@ -413,6 +413,15 @@ class TestExitCodes:
         assert line.startswith("ParameterError in solver.disk_min_dirichlet: t = ")
         assert not out.exists()
 
+    def test_disk_grid_too_coarse(self, tmp_path, capsys):
+        # t = 1e6 at grid 256: the disk profile cannot be held, exit 3.
+        out = tmp_path / "out"
+        args = ["disk", "--grid-n", 256, "--r", 0.001, "--no-plots", "--out", out]
+        assert run(args) == 3
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("ResolutionError in solver.disk_min_dirichlet:")
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", sorted(set(cli._HANDLERS) - {"sweep-eps"}))
     def test_eps_list_only_for_sweep(self, tmp_path, capsys, command):
         # Every other command would run the first value and record both.

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.integrate import simpson
 
 from liouvillelab import (
     EIGHT_PI,
@@ -10,6 +11,7 @@ from liouvillelab import (
     MinimizerResult,
     NumericError,
     ParameterError,
+    ResolutionError,
     SolverConfig,
     assemble_operators,
     build_icosphere,
@@ -19,7 +21,9 @@ from liouvillelab import (
     random_band_field,
     set_conformal_background,
     solve_mean_field,
+    solver,
 )
+from liouvillelab.inequalities import _disk_gap
 
 FOUR_PI = 4.0 * np.pi
 
@@ -353,6 +357,72 @@ def test_disk_profile_boundary_and_shape():
     # volume-expanding case bulges upward toward the center
     assert result.profile[0] > 0.0
     assert np.all(np.diff(result.profile) <= 1e-12)
+
+
+def _continuum_disk(t, rho):
+    # The unit-disk minimizer with int e^{2v} = pi t, its radial derivative
+    # and its multiplier: v0 = ln t - ln(1 + (t - 1) rho^2).
+    c = t - 1.0
+    density = 1.0 + c * rho * rho
+    return np.log(t) - np.log(density), -2.0 * c * rho / density, 4.0 * c / t**2
+
+
+def _count_newton_solves(monkeypatch):
+    calls = []
+    solve = solver._solve
+
+    def counted(matrix, rhs, what, mesh=None):
+        calls.append(what)
+        return solve(matrix, rhs, what, mesh)
+
+    monkeypatch.setattr(solver, "_solve", counted)
+    return lambda: calls.count("disk Newton step")
+
+
+@pytest.mark.parametrize("t", [0.003, 0.01, 0.5, 2.0, 100.0, 1614.0, 1e5])
+def test_disk_newton_starts_at_the_continuum_minimizer(t, monkeypatch):
+    # Started at the continuum minimizer, full Newton steps need only a few
+    # solves at the default grid, from t = 0.003 to t = 1e5.
+    solves = _count_newton_solves(monkeypatch)
+    disk_min_dirichlet(t * np.pi, 0.0, 1.0)
+    assert 1 <= solves() <= 6
+
+
+@pytest.mark.parametrize("t", [1e6, 0.003])
+def test_disk_grid_too_coarse_for_the_profile(t, monkeypatch):
+    # At grid 256, e^{2 v0} more than doubles across one cell: refused
+    # before any solve.
+    solves = _count_newton_solves(monkeypatch)
+    with pytest.raises(ResolutionError, match=r"t = .* grid_n = 256"):
+        disk_min_dirichlet(t * np.pi, 0.0, 1.0, grid_n=256)
+    assert solves() == 0
+
+
+@pytest.mark.parametrize("t", [0.1, 4.0, 100.0])
+def test_disk_profile_converges_to_the_closed_form(t):
+    # The discrete profile and multiplier approach v0 and mu0 at second order.
+    errors = []
+    for n in (1024, 2048):
+        result = disk_min_dirichlet(t * np.pi, 0.0, 1.0, grid_n=n)
+        v0, _, mu0 = _continuum_disk(t, result.radii)
+        errors.append(
+            (np.abs(result.profile - v0).max(), abs(result.multiplier - mu0) / abs(mu0))
+        )
+    (coarse_v, coarse_mu), (fine_v, fine_mu) = errors
+    assert coarse_v >= 3.5 * fine_v
+    assert coarse_mu >= 3.5 * fine_mu
+
+
+@pytest.mark.parametrize("t", [0.1, 4.0, 100.0])
+def test_disk_closed_form_meets_the_floor(t):
+    # v0 holds volume pi t, and its Dirichlet energy is the gap's floor.
+    rho = np.linspace(0.0, 1.0, 2**16 + 1)
+    v0, dv0, _ = _continuum_disk(t, rho)
+    volume = 2.0 * np.pi * simpson(np.exp(2.0 * v0) * rho, x=rho)
+    energy = 2.0 * np.pi * simpson(dv0 * dv0 * rho, x=rho)
+    bound = _disk_gap(disk_min_dirichlet(t * np.pi, 0.0, 1.0), t * np.pi, 0.0, 1.0)
+    assert abs(volume - np.pi * t) <= 1e-6 * np.pi * t
+    assert abs(energy - bound.parameters["bound"]) <= 1e-6
 
 
 def test_disk_rejects_bad_parameters():
