@@ -159,9 +159,9 @@ def disk_floor_gap(a: float, b: float, r: float, grid_n: int = 4096) -> Inequali
     """Gap of the constrained disk minimum over its closed-form floor.
 
     margin = disk_min_dirichlet(a, b, r) - 4 pi (ln t + 1/t - 1) with
-    t = a exp(-2b) / (pi r^2); zero exactly at t = 1 and nonnegative
-    otherwise up to the O(h^2) bias, h = 1 / grid_n: positive for t < 1,
-    about -1.4 t h^2 for t > 1.  The bound depends on (a, b) only through t.
+    t = a exp(-2b) / (pi r^2), so the bound depends on (a, b) only through
+    t.  The margin is zero at t = 1 and otherwise an O(h^2) excess,
+    h = 1 / grid_n, that Rayleigh-Ritz keeps nonnegative up to the Newton stop.
     """
     return _disk_gap(disk_min_dirichlet(a, b, r, grid_n), a, b, r)
 

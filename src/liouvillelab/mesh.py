@@ -26,7 +26,6 @@ import logging
 import math
 import re
 import warnings
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,10 +63,9 @@ class TriangulatedSphere:
     background_factor : ndarray of shape (V,)
         Log conformal factor phi; the working metric is exp(phi)*g_round.
 
-    Instances are treated as immutable; identity (not value) is used for
-    caching, so do not mutate the arrays in place.  A geometry-only cache
-    entry is shared only by meshes that hold the same ``vertices`` and
-    ``faces`` objects: a mesh and its :func:`set_conformal_background` copies.
+    Instances are treated as immutable: do not mutate the arrays in place.
+    Each mesh holds one lazily filled record of its geometry's products,
+    shared only with the copies :func:`set_conformal_background` makes.
     """
 
     vertices: np.ndarray
@@ -97,6 +95,7 @@ class TriangulatedSphere:
         ):
             raise DataError("face indices out of range")
         self._check_topology()
+        self._geometry = _Geometry()  # not a field: copies share it
 
     def _directed_edges(self) -> tuple[np.ndarray, np.ndarray]:
         # Tails and heads of the 3F directed edges, corner k -> k+1 per face.
@@ -256,7 +255,7 @@ def _ordering(mesh: TriangulatedSphere) -> np.ndarray:
     neighbour in the upper half.  The order is the lower half, the upper
     half, then the separator, down to parts of _LEAF_SIZE vertices.
     """
-    record = _geometry(mesh)
+    record = mesh._geometry
     if record.order is not None:
         return record.order
     n = mesh.num_vertices
@@ -302,28 +301,15 @@ def _finite_solution(solution, what):
 
 
 @dataclass(eq=False)
-class _GeometricCore:
-    # Background-independent assembly products.
-    stiffness: sp.csr_matrix
-    round_mass: np.ndarray
-    flat_area: float
-    mass_correction: float
-    mean_edge_length: float
-
-
-@dataclass(eq=False)
 class _Geometry:
     # Everything cached for one (vertices, faces) pair, filled lazily.
-    core: _GeometricCore | None = None
+    stiffness: sp.csr_matrix | None = None
+    round_mass: np.ndarray | None = None
+    flat_area: float | None = None
+    mass_correction: float | None = None
+    mean_edge_length: float | None = None
     order: np.ndarray | None = None  # nested-dissection vertex order
     basis: tuple | None = None  # (lmax, eigenvalues, aligned round eigenbasis)
-
-
-_GEOMETRY = weakref.WeakKeyDictionary()  # mesh -> its geometry's _Geometry
-
-
-def _geometry(mesh: TriangulatedSphere) -> _Geometry:
-    return _GEOMETRY.setdefault(mesh, _Geometry())
 
 
 def _icosahedron() -> tuple[np.ndarray, np.ndarray]:
@@ -385,10 +371,10 @@ def build_icosphere(level: int) -> TriangulatedSphere:
     return TriangulatedSphere(verts, faces, np.zeros(len(verts)))
 
 
-def _geometric_core(mesh: TriangulatedSphere) -> _GeometricCore:
-    record = _geometry(mesh)
-    if record.core is not None:
-        return record.core
+def _geometric_core(mesh: TriangulatedSphere) -> _Geometry:
+    record = mesh._geometry
+    if record.stiffness is not None:
+        return record
     v, f = mesh.vertices, mesh.faces
     p0, p1, p2 = v[f[:, 0]], v[f[:, 1]], v[f[:, 2]]
     cross = np.cross(p1 - p0, p2 - p0)
@@ -448,8 +434,10 @@ def _geometric_core(mesh: TriangulatedSphere) -> _GeometricCore:
     dots = np.einsum("ij,ij->i", v[edges[:, 0]], v[edges[:, 1]])
     mean_edge = float(np.arccos(np.clip(dots, -1.0, 1.0)).mean())
 
-    record.core = _GeometricCore(stiffness, round_mass, flat_area, correction, mean_edge)
-    return record.core
+    record.round_mass, record.flat_area = round_mass, flat_area
+    record.mass_correction, record.mean_edge_length = correction, mean_edge
+    record.stiffness = stiffness  # last: it marks the record filled
+    return record
 
 
 def assemble_operators(mesh: TriangulatedSphere) -> DiscreteOperators:
@@ -501,7 +489,6 @@ def set_conformal_background(
     # validated with the parent, and phi has been checked above.
     derived = copy.copy(mesh)
     derived.background_factor = phi
-    _GEOMETRY[derived] = _geometry(mesh)
     return derived
 
 
@@ -573,22 +560,23 @@ def _round_eigenbasis(mesh: TriangulatedSphere, bands: int):
     lmax = 1
     while (lmax + 1) ** 2 - 1 < bands:
         lmax += 1
-    record = _geometry(mesh)
+    record = _geometric_core(mesh)
     if record.basis is not None and record.basis[0] >= lmax:
         return record.basis[1], record.basis[2]
-    core = _geometric_core(mesh)
     n = mesh.num_vertices
     k = (lmax + 1) ** 2
     if k >= n - 1:
         raise ResolutionError(
             f"mesh too coarse for {bands} bands ({n} vertices, need {k + 1} modes)"
         )
-    vals, vecs = _lowest_modes(core.stiffness, core.round_mass, k, "round eigensolve", mesh)
+    vals, vecs = _lowest_modes(
+        record.stiffness, record.round_mass, k, "round eigensolve", mesh
+    )
     if abs(vals[0]) > 1e-8:
         raise NumericError("round eigensolve lost the constant mode")
     vals, vecs = vals[1:], vecs[:, 1:]
     refs = _real_harmonics(mesh.vertices, lmax)
-    weights = core.round_mass
+    weights = record.round_mass
     basis_cols = []
     pos = 0
     for ell in range(1, lmax + 1):

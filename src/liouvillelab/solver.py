@@ -7,6 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.special import hyp1f1
 
 from .energy import (
     EIGHT_PI,
@@ -269,14 +270,16 @@ def disk_min_dirichlet(a: float, b: float, r: float, grid_n: int = 4096) -> Disk
     The problem depends on (a, b, r) only through t = a exp(-2b) / (pi r^2):
     w(rho) = b + v(rho / r), where v minimizes on the unit disk with v(1) = 0
     and int exp(2 v) = pi t; the multiplier maps back as mu / (r^2 exp(2 b)).
-    Radial finite differences with trapezoid cell quadrature, for which the
-    map is exact too.  Newton on the Lagrange system starts at the continuum
-    minimizer v0 = ln t - ln(1 + (t - 1) rho^2), mu0 = 4 (t - 1) / t^2, which
-    the answer differs from by O(h^2), takes full steps and stops when its
-    correction is below 1e-10.  A grid on which v0 changes by more than
-    ln 2 / 2 between neighbouring nodes (exp(2 v0) more than doubles across a
-    cell) cannot hold the profile: ResolutionError, before any solve.
-    Second-order accurate: doubling grid_n quarters the error.
+    v is P1 in rho with its Dirichlet integral and constraint exact per cell,
+    so the map is exact and v is admissible in the continuum: by Rayleigh-Ritz
+    the value is at least the continuum minimum, up to the Newton stop.
+    Newton with the exact Hessian starts at the continuum minimizer
+    v0 = ln t - ln(1 + (t - 1) rho^2), mu0 = 4 (t - 1) / t^2, O(h^2) from the
+    answer, takes full steps and stops at a correction below 1e-10.  A grid
+    on which v0 changes by more than ln 2 / 2 between neighbouring nodes
+    cannot hold the profile: ResolutionError, before any solve, because
+    there the value lies far above the minimum and Newton's solves can turn
+    singular.  Second-order accurate: doubling grid_n quarters the error.
     """
     a = _real("a", a, 0.0)
     b = _real("b", b)
@@ -293,27 +296,29 @@ def disk_min_dirichlet(a: float, b: float, r: float, grid_n: int = 4096) -> Disk
             f"neighbouring nodes of grid_n = {n}, above ln 2 / 2"
         )
     h = 1.0 / n
-    # Trapezoid cell weights of int_0^1 f rho d rho at the nodes rho_i = i h,
-    # and the conductances rho_{j+1/2} / h = j + 1/2 of the Dirichlet form
-    # sum_j k_j (v_{j+1} - v_j)^2, whose interior block is the Newton matrix's.
-    q = h * h * np.concatenate(([0.125], np.arange(1.0, n), [n / 2.0 - 0.125]))
+    # Conductances rho_{j+1/2} / h = j + 1/2 of the form sum_j k_j (v_{j+1} - v_j)^2.
     k = np.arange(n) + 0.5
-    interior = sp.diags([-k[:-1], k + np.append(0.0, k[:-1]), -k[:-1]], [-1, 0, 1])
     target = t / 2.0  # int_0^1 e^{2v} rho d rho
 
     def residual(v, mu):
-        # Interior Lagrange gradient, in flux differences so its roundoff stays
-        # at the fluxes' size, and the gap of sum(q e^{2v}) relative to target.
-        qe = q * np.exp(2.0 * v)
-        grad = -2.0 * np.diff(k * np.diff(v), prepend=0.0) - 2.0 * mu * qe[:n]
-        gap = qe.sum() / target - 1.0
-        return grad, gap, qe, float(np.sqrt(grad @ grad + gap * gap))
+        # Cell j's moments c_m = int s^m e^{2v} rho d rho, rho = (j + s) h, are
+        # h^2 e^{2 v_j} (j I_m + I_{m+1}) at d = 2 (v_{j+1} - v_j); c_0 sums to
+        # the constraint.  Flux differences keep grad's roundoff at the fluxes'.
+        moments = _cell_moments(2.0 * np.diff(v))
+        c = h * h * np.exp(2.0 * v[:-1]) * (np.arange(n) * moments[:3] + moments[1:])
+        grad_c = 2.0 * (c[0] - np.diff(c[1], prepend=0.0))
+        grad = -2.0 * np.diff(k * np.diff(v), prepend=0.0) - mu * grad_c
+        gap = c[0].sum() / target - 1.0
+        return grad, gap, c, grad_c, float(np.sqrt(grad @ grad + gap * gap))
 
     v, mu = np.log(t) - log_density, 4.0 * (t - 1.0) / (t * t)
     for _ in range(80):
-        grad, gap, qe, res_norm = residual(v, mu)
-        hess = 2.0 * interior - sp.diags(4.0 * mu * qe[:n])
-        column = -2.0 * qe[:n]
+        grad, gap, c, grad_c, res_norm = residual(v, mu)
+        # Exact Hessian: 2 (Dirichlet block at conductances w) - diag(2 mu grad_c).
+        w = k + 2.0 * mu * (c[1] - c[2])
+        diagonal = 2.0 * (w + np.append(0.0, w[:-1]) - mu * grad_c)
+        hess = sp.diags([-2.0 * w[:-1], diagonal, -2.0 * w[:-1]], [-1, 0, 1])
+        column = -grad_c
         # KKT system [[hess, column], [-column^T / target, 0]] by its Schur
         # complement: one tridiagonal solve for both right-hand sides
         # keeps the border out of the pivoting.
@@ -331,4 +336,11 @@ def disk_min_dirichlet(a: float, b: float, r: float, grid_n: int = 4096) -> Disk
         )
     value = float(2.0 * np.pi * (k @ np.diff(v) ** 2))  # scale-free: no mapping
     multiplier = float(mu / (r * r * np.exp(2.0 * b)))
-    return DiskMinimum(value, r * rho, b + v, multiplier, residual(v, mu)[3])
+    return DiskMinimum(value, r * rho, b + v, multiplier, residual(v, mu)[4])
+
+
+def _cell_moments(d):
+    # I_m(d) = int_0^1 s^m e^{ds} ds, m = 0..3.  SciPy's hyp1f1(a, a+1, x)
+    # hangs at huge x for a >= 2; past d ~ 710 every I_m overflows anyway.
+    m = np.arange(4.0)[:, None]
+    return hyp1f1(m + 1.0, m + 2.0, np.minimum(d, 1e3)) / (m + 1.0)

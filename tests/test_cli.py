@@ -238,6 +238,13 @@ class TestSingleCommands:
         assert abs(info["value"]) < 1e-10
         assert abs(info["margin"]) < 1e-10
 
+    def test_disk_margin_is_nonnegative_at_large_t(self, tmp_path):
+        # t = 256 at the default grid: the trapezoid constraint gave -2.13e-5.
+        assert run(["disk", "--r=0.0625", "--no-plots", "--out", tmp_path]) == 0
+        info = json.loads((tmp_path / "disk.json").read_text())
+        assert info["t"] == pytest.approx(256.0, rel=1e-12)
+        assert info["margin"] >= 0.0
+
     def test_disk_gaps_depend_on_t_only(self, tmp_path):
         # The four disk gaps run at fixed t, so moving b and r changes nothing.
         margins = []

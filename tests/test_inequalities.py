@@ -107,13 +107,17 @@ class TestDiskGap:
         fine = disk_floor_gap(2.0 * np.pi, 0.0, 1.0, grid_n=4096).worst_margin
         assert abs(fine) < 0.3 * abs(coarse)
 
+    @pytest.mark.parametrize("t", [0.1, 2.0, 100.0, 1614.0])
+    def test_margin_is_positive_and_falls_at_second_order(self, t):
+        coarse, fine = (
+            disk_floor_gap(t * np.pi, 0.0, 1.0, grid_n=n).worst_margin for n in (1024, 2048)
+        )
+        assert coarse >= 3.5 * fine > 0.0
+
     def test_large_t_margin(self):
-        # The border's entries q e^{2w} outgrow the tridiagonal block here, so
-        # a pivoted LU of the bordered system takes the border as pivot row
-        # and fills in; the Schur complement never factors the border.
-        # Pinned to the bordered LU's margin.
+        # Pinned to the exact-constraint margin, an upper bound on the floor.
         rep = disk_floor_gap(1614.0 * np.pi, 0.0, 1.0)
-        assert abs(rep.worst_margin - (-1.343088852792107e-04)) <= 1e-9
+        assert abs(rep.worst_margin - 3.3488360486444435e-05) <= 1e-9
 
     def test_depends_on_t_only(self):
         # same t reached through different (a, b, r) gives the same margin

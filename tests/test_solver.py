@@ -388,6 +388,37 @@ def test_disk_newton_starts_at_the_continuum_minimizer(t, monkeypatch):
     assert 1 <= solves() <= 6
 
 
+def test_disk_cell_moments_match_quadrature():
+    # I_m(d) = int_0^1 s^m e^{ds} ds against 60-point Gauss-Legendre; a huge
+    # or infinite d, at which SciPy's hyp1f1 does not return, gives inf at once.
+    nodes, weights = np.polynomial.legendre.leggauss(60)
+    s, weights = (nodes + 1.0) / 2.0, weights / 2.0
+    d = np.array([-50.0, -1.0, 0.0, 1e-9, 0.7, 30.0])
+    expected = [(s**m * np.exp(np.outer(d, s))) @ weights for m in range(4)]
+    assert np.allclose(solver._cell_moments(d), expected, rtol=1e-12, atol=0.0)
+    assert np.isinf(solver._cell_moments(np.array([800.0, 1e300, np.inf]))).all()
+
+
+def test_disk_value_bounds_the_floor_from_above(monkeypatch):
+    # With the constraint exact per cell the discrete minimizer is admissible
+    # in the continuum, so no admitted t in [1e-3, 1e6] falls below the floor.
+    solves = _count_newton_solves(monkeypatch)
+    admitted = 0
+    for t in np.logspace(-3, 6, 91):
+        before = solves()
+        try:
+            minimum = disk_min_dirichlet(t * np.pi, 0.0, 1.0)
+        except ResolutionError:
+            assert solves() == before
+            continue
+        admitted += 1
+        gap = _disk_gap(minimum, t * np.pi, 0.0, 1.0)
+        bound = gap.parameters["bound"]
+        assert gap.worst_margin >= -1e-10 * max(1.0, abs(bound)), t
+        assert solves() - before <= 4, t
+    assert admitted == 90  # the refusal takes t = 1e-3 only
+
+
 @pytest.mark.parametrize("t", [1e6, 0.003])
 def test_disk_grid_too_coarse_for_the_profile(t, monkeypatch):
     # At grid 256, e^{2 v0} more than doubles across one cell: refused
