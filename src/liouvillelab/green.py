@@ -31,8 +31,8 @@ from .mesh import (
     FOUR_PI,
     DiscreteOperators,
     ScalarField,
+    _geodesic,
     _solve,
-    geodesic_distances,
     sample_field,
 )
 
@@ -48,7 +48,8 @@ class GreenResult:
     fit_window is the (inner, outer) annulus radii actually used;
     distance_exact records whether geodesic distances were exact arcs
     (round background) or came from fast marching over the faces (bumpy
-    background, first-order accurate in the edge length).
+    background, first-order accurate in the edge length); the march stops
+    at the annulus' outer radius and leaves inf beyond it.
     """
 
     field: ScalarField
@@ -82,6 +83,7 @@ def solve_green(ops: DiscreteOperators, pole: int) -> GreenResult:
     paired with the lumped masses; compatibility (source total equals the
     curvature integral) is exact, and the zero-mean normalization is
     enforced through a bordered system with a scaled multiplier column.
+    A bumpy background's distances are marched only to the fit annulus.
     """
     n = ops.mass.shape[0]
     pole = _count("pole", pole, 0, n - 1)
@@ -91,7 +93,7 @@ def solve_green(ops: DiscreteOperators, pole: int) -> GreenResult:
     system = sp.bmat([[ops.stiffness, column[:, None]], [column[None, :], None]])
     solution = _solve(system, np.concatenate([rhs, [0.0]]), "Green system", ops.mesh)
     g_field = solution[:n]
-    distances, exact = geodesic_distances(ops, pole)
+    distances, exact = _geodesic(ops, pole, _ANNULUS_OUTER * ops.mean_edge_length)
     result = GreenResult(
         field=g_field,
         pole=pole,
@@ -111,8 +113,9 @@ def extract_A(green: GreenResult, ops: DiscreteOperators) -> float:
     The annulus spans 4 to 8 mean edge lengths from the pole; the fit is
     mass-weighted least squares against a constant (the o(1) remainder is
     dropped and reported through fit_residual).  Updates the fields of
-    ``green`` in place and returns the constant.  A field that does not
-    match the mesh or is not finite raises DataError.
+    ``green`` in place and returns the constant; distances beyond the
+    annulus may be inf.  A field that does not match the mesh or is not
+    finite raises DataError.
     """
     _field("green.field", green.field, len(ops.mass))
     h = ops.mean_edge_length

@@ -669,12 +669,17 @@ def geodesic_distances(
     edge lengths of every face once per call and reaches every vertex, so
     the result is finite everywhere.
     """
+    return _geodesic(ops, source, math.inf)
+
+
+def _geodesic(ops: DiscreteOperators, source: int, radius: float):
+    """``geodesic_distances``, its march stopped past ``radius`` (inf there)."""
     mesh = ops.mesh
     source = _count("source", source, 0, mesh.num_vertices - 1)
     if _is_round(mesh):
         dots = mesh.vertices @ mesh.vertices[source]
         return np.arccos(np.clip(dots, -1.0, 1.0)), True
-    return _fast_march(mesh, mesh.background_factor, source), False
+    return _fast_march(mesh, mesh.background_factor, source, radius), False
 
 
 def _fmm_face_update(t_a, t_b, len_bc, len_ac, len_ab):
@@ -732,26 +737,29 @@ def _fmm_face_update(t_a, t_b, len_bc, len_ac, len_ab):
     return t if t < edge else edge
 
 
-def _vertex_faces(mesh: TriangulatedSphere) -> list[list[int]]:
-    """Indices of the faces incident to each vertex, in ascending order."""
+def _vertex_faces(mesh: TriangulatedSphere) -> tuple[list[int], list[int]]:
+    """Flat vertex-face incidence: the faces of vertex v, in ascending
+    order, are ``faces[starts[v]:starts[v + 1]]``."""
     corners = mesh.faces.ravel()
     # A stable sort keeps corners of one vertex in flat order, hence face order.
-    face_of_corner = (np.argsort(corners, kind="stable") // 3).tolist()
-    ends = np.cumsum(np.bincount(corners, minlength=mesh.num_vertices)).tolist()
-    return [face_of_corner[lo:hi] for lo, hi in zip([0] + ends, ends)]
+    faces = (np.argsort(corners, kind="stable") // 3).tolist()
+    starts = [0] + np.cumsum(np.bincount(corners, minlength=mesh.num_vertices)).tolist()
+    return faces, starts
 
 
 # (corner updated, first front corner, second front corner) of a face
 _CORNERS = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
 
 
-def _fast_march(mesh: TriangulatedSphere, phi: np.ndarray, source: int) -> np.ndarray:
-    """Fast-marching distances from ``source`` to every vertex.
+def _fast_march(mesh: TriangulatedSphere, phi, source: int, radius: float) -> np.ndarray:
+    """Fast-marching distances from ``source``, stopped at the first pop
+    beyond ``radius``; every vertex not popped by then is inf.
 
-    Each face's three conformal edge lengths (round arc times the mean of
-    the end-point scales exp(phi/2)) are computed once per call with array
-    operations; the heap loop then runs on plain Python lists, so no numpy
-    call is made per front update.
+    Pops never decrease (a lowering update is at least the popped value),
+    so each vertex within ``radius`` has the full march's value bit for bit.
+    Each face's three conformal edge lengths (round arc times the mean of the
+    end-point scales exp(phi/2)) are computed once per call with array
+    operations; the heap loop then runs on plain Python lists.
     """
     f = mesh.faces
     scale = np.exp(phi / 2.0)
@@ -762,7 +770,7 @@ def _fast_march(mesh: TriangulatedSphere, phi: np.ndarray, source: int) -> np.nd
     arcs = np.arccos(np.clip(dots, -1.0, 1.0))
     lengths = (arcs * 0.5 * (scale[ends_a] + scale[ends_b])).ravel().tolist()
     corners = f.ravel().tolist()
-    vert_faces = _vertex_faces(mesh)
+    vert_faces, starts = _vertex_faces(mesh)
     dist = [math.inf] * mesh.num_vertices
     dist[source] = 0.0
     done = [False] * mesh.num_vertices
@@ -771,8 +779,10 @@ def _fast_march(mesh: TriangulatedSphere, phi: np.ndarray, source: int) -> np.nd
         d, i = heapq.heappop(heap)
         if done[i] or d > dist[i]:
             continue
+        if d > radius:
+            break
         done[i] = True
-        for fi in vert_faces[i]:
+        for fi in vert_faces[starts[i]:starts[i + 1]]:
             base = 3 * fi
             for k, ka, kb in _CORNERS:
                 c = corners[base + k]
@@ -786,7 +796,7 @@ def _fast_march(mesh: TriangulatedSphere, phi: np.ndarray, source: int) -> np.nd
                 if t < dist[c]:
                     dist[c] = t
                     heapq.heappush(heap, (t, c))
-    return np.array(dist)
+    return np.where(done, dist, math.inf)
 
 
 def sample_field(
@@ -804,7 +814,7 @@ def sample_field(
     if not np.isfinite(points).all():
         raise DataError("points contain non-finite entries")
     v, f = mesh.vertices, mesh.faces
-    vert_faces = _vertex_faces(mesh)
+    vert_faces, starts = _vertex_faces(mesh)
     tree = cKDTree(v)
     _, nearest = tree.query(points, k=4)
     out = np.empty(len(points))
@@ -812,7 +822,7 @@ def sample_field(
     for i, p in enumerate(points):
         candidates = []
         for nv in np.atleast_1d(nearest[i]):
-            candidates.extend(vert_faces[int(nv)])
+            candidates.extend(vert_faces[starts[nv]:starts[nv + 1]])
         best_face, best_bary, best_min = -1, None, -np.inf
         for fi in dict.fromkeys(candidates):
             mat = tri[fi].T

@@ -24,16 +24,15 @@ def write_line_plot(path, series: dict, title: str, xlabel: str, ylabel: str,
                     log_y: bool = False) -> None:
     """Write one SVG with a polyline per named series.
 
-    series maps a label to (xs, ys) arrays; log_y plots log10 of positive
-    values (rows with nonpositive y are dropped for that series).
+    series maps a label to (xs, ys) arrays; rows with a non-finite x or y,
+    or with nonpositive y when log_y plots log10 of y, are dropped.
     """
     prepared = {}
     for label, (xs, ys) in series.items():
         xs = np.asarray(xs, dtype=float)
         ys = np.asarray(ys, dtype=float)
-        if log_y:
-            keep = ys > 0
-            xs, ys = xs[keep], np.log10(ys[keep])
+        keep = np.isfinite(xs) & np.isfinite(ys) & (ys > 0 if log_y else True)
+        xs, ys = xs[keep], np.log10(ys[keep]) if log_y else ys[keep]
         if len(xs):
             prepared[label] = (xs, ys)
     if not prepared:

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -22,6 +23,7 @@ from liouvillelab import (
     read_off_mesh,
 )
 from liouvillelab.errors import NumericError
+from liouvillelab.svg import write_line_plot
 
 LN_FOUR_PI = np.log(4.0 * np.pi)
 
@@ -189,6 +191,16 @@ class TestSingleCommands:
         assert np.isfinite(info["A_value"])
         field_rows = (tmp_path / "green_field.csv").read_text().splitlines()
         assert len(field_rows) == 162 + 1
+
+    def test_green_figure_on_a_bumpy_background_spans_the_sphere(self, tmp_path):
+        # The fit's march stops at its annulus; the figure still shows every
+        # vertex but the pole, with finite coordinates.
+        args = ["green", "--level", 4, "--pole", 5, "--metric-amp", 0.3, "--out", tmp_path]
+        assert run(args) == 0
+        svg = (tmp_path / "green_vs_distance.svg").read_text()
+        assert "nan" not in svg and "inf" not in svg
+        points = re.search(r'<polyline points="([^"]*)"', svg).group(1).split()
+        assert len(points) == 2562 - 1
 
     def test_bubble_report(self, tmp_path):
         assert run(["bubble", "--R", 1.0, "--out", tmp_path]) == 0
@@ -664,3 +676,15 @@ class TestOptionTable:
                 run([command, "--level", 1, "--eps", 0.5, "--out", tmp_path])
         assert seen["minimize"][0][1] == SolverConfig(epsilon=0.5)
         assert set(seen["mean-field"][1]) == {"initial"}
+
+
+@pytest.mark.parametrize("log_y", [False, True])
+def test_line_plot_drops_non_finite_rows(tmp_path, log_y):
+    xs = [0.0, 1.0, np.inf, 3.0, np.nan, 5.0, 6.0]
+    ys = [1.0, np.nan, 2.0, -np.inf, 3.0, np.inf, 4.0]
+    path = tmp_path / "plot.svg"
+    write_line_plot(path, {"s": (xs, ys)}, title="t", xlabel="x", ylabel="y", log_y=log_y)
+    svg = path.read_text()
+    assert "nan" not in svg and "inf" not in svg
+    points = re.search(r'<polyline points="([^"]*)"', svg).group(1).split()
+    assert len(points) == 2  # the rows at x = 0 and x = 6

@@ -1,6 +1,7 @@
 """Green-function solver, bubble quadrature, and rescale diagnostics."""
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from scipy.integrate import IntegrationWarning
 
 import liouvillelab as L
 from liouvillelab.errors import DataError, NumericError, ParameterError, ResolutionError
+from liouvillelab import mesh as mesh_module
 from liouvillelab.mesh import geodesic_distances
 
 A_ROUND = 4.0 * np.log(2.0) - 2.0
@@ -110,6 +112,43 @@ class TestBumpyGreen:
         a0 = L.solve_green(ops, 0).A_value
         a1 = L.solve_green(ops, 1234).A_value
         assert abs(a0 - a1) > 0.01
+
+    @staticmethod
+    def _band_ops(level):
+        mesh = L.build_icosphere(level)
+        phi = L.random_band_field(mesh, 7, 8, 0.3)
+        return L.assemble_operators(L.set_conformal_background(mesh, phi, normalize=True))
+
+    @pytest.mark.parametrize("level", [3, 4, 5])
+    def test_fit_equals_the_fit_on_full_distances(self, level):
+        # The march stops at the fit annulus; the fit must not see it.
+        ops = self._band_ops(level)
+        for pole in (0, 17, ops.mesh.num_vertices // 3):
+            green = L.solve_green(ops, pole)
+            full = replace(green, distances=geodesic_distances(ops, pole)[0])
+            L.extract_A(full, ops)
+            assert green.A_value == full.A_value
+            assert green.fit_residual == full.fit_residual
+            assert green.fit_window == full.fit_window
+            beyond = full.distances > green.fit_window[1]
+            assert np.isinf(green.distances[beyond]).all()
+            assert np.array_equal(green.distances[~beyond], full.distances[~beyond])
+
+    def test_march_stops_at_the_fit_annulus(self, monkeypatch):
+        # Measured 2.1% of the full march's front updates at level 5.
+        ops = self._band_ops(5)
+        calls = [0]
+        update = mesh_module._fmm_face_update
+
+        def counting(*args):
+            calls[0] += 1
+            return update(*args)
+
+        monkeypatch.setattr(mesh_module, "_fmm_face_update", counting)
+        L.solve_green(ops, 0)
+        stopped = calls[0]
+        geodesic_distances(ops, 0)
+        assert 0 < stopped < 0.05 * (calls[0] - stopped)
 
 
 class TestGreenValidation:

@@ -1,4 +1,5 @@
 import heapq
+import math
 import re
 import warnings
 
@@ -28,7 +29,13 @@ from liouvillelab import (
     write_field_csv,
     write_off_mesh,
 )
-from liouvillelab.mesh import _geometric_core, _icosahedron, _ordering, _vertex_faces
+from liouvillelab.mesh import (
+    _fast_march,
+    _geometric_core,
+    _icosahedron,
+    _ordering,
+    _vertex_faces,
+)
 
 
 def test_subdivision_counts():
@@ -337,7 +344,7 @@ def _reference_fast_march(mesh, phi, source):
         arc = np.arccos(np.clip(float(v[i] @ v[j]), -1.0, 1.0))
         return arc * 0.5 * (scale[i] + scale[j])
 
-    vert_faces = _vertex_faces(mesh)
+    flat, starts = _vertex_faces(mesh)
     dist = np.full(mesh.num_vertices, np.inf)
     dist[source] = 0.0
     done = np.zeros(mesh.num_vertices, dtype=bool)
@@ -347,7 +354,7 @@ def _reference_fast_march(mesh, phi, source):
         if done[i] or d > dist[i]:
             continue
         done[i] = True
-        for fi in vert_faces[i]:
+        for fi in flat[starts[i]:starts[i + 1]]:
             tri = faces[fi]
             for k in range(3):
                 c = tri[k]
@@ -373,6 +380,29 @@ def test_fast_march_matches_loop_reference(bumpy3):
             assert not exact
             assert np.isfinite(dist).all()
             assert np.abs(dist - expected).max() <= 1e-12
+
+
+def _band_background(level):
+    mesh = build_icosphere(level)
+    phi = random_band_field(mesh, 2, 6, 0.4)
+    return assemble_operators(set_conformal_background(mesh, phi, normalize=True))
+
+
+@pytest.mark.parametrize("level", [3, 4])
+@pytest.mark.parametrize("background", ["band", "mobius"])
+def test_stopped_march_is_a_prefix_of_the_full_march(level, background):
+    ops = _band_background(level) if background == "band" else _mobius_background(level)[0]
+    mesh, h = ops.mesh, ops.mean_edge_length
+    for source in (0, 17, mesh.num_vertices // 2, mesh.num_vertices - 1):
+        full = _fast_march(mesh, mesh.background_factor, source, math.inf)
+        assert np.array_equal(full, geodesic_distances(ops, source)[0])
+        assert np.isfinite(full).all()
+        for radius in (0.0, 2.0 * h, 8.0 * h, math.inf):
+            stopped = _fast_march(mesh, mesh.background_factor, source, radius)
+            within = full <= radius
+            assert within[source]
+            assert np.array_equal(stopped[within], full[within])
+            assert np.isinf(stopped[~within]).all()
 
 
 def test_sample_field_at_vertices_and_constants(ops3, rng):
@@ -418,7 +448,9 @@ def test_vertex_faces_matches_loop_reference():
     for fi, face in enumerate(mesh.faces):
         for vertex in face:
             expected[vertex].append(fi)
-    assert _vertex_faces(mesh) == expected
+    faces, starts = _vertex_faces(mesh)
+    assert starts[0] == 0 and starts[-1] == len(faces)
+    assert [faces[lo:hi] for lo, hi in zip(starts, starts[1:])] == expected
 
 
 def _reference_edges(mesh):
