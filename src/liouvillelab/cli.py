@@ -48,10 +48,10 @@ from .inequalities import (
     disk_floor_gap,
 )
 from .mesh import (
+    _arcs,
     _is_round,
     assemble_operators,
     build_icosphere,
-    geodesic_distances,
     integrate,
     random_band_field,
     read_off_mesh,
@@ -434,7 +434,7 @@ def _cmd_mean_field(spec: RunSpec, out: _Artifacts):
     )
     _write_result(
         out, ops, result, "residual_trace.svg", series="residual", column=2,
-        title="mean-field residual", ylabel="log10 residual", log_y=True,
+        title="mean-field residual", ylabel="residual", log_y=True,
     )
     return [
         f"mean-field: eps={spec.epsilons[0]:g} "
@@ -458,21 +458,17 @@ def _cmd_green(spec: RunSpec, out: _Artifacts):
             "integral": integrate(ops, result.field),
         },
     )
-    if out.plots:  # the fit's distances stop at its annulus; the figure's do not
-        distances, _ = geodesic_distances(ops, result.pole)
-        order = np.argsort(distances)
-        keep = distances[order] > 0.5 * ops.mean_edge_length
-        dist = distances[order][keep]
-        series = {"computed": (dist, result.field[order][keep])}
-        if _is_round(ops.mesh):
-            series["closed_form"] = (dist, -4.0 * np.log(np.sin(dist / 2.0)) - 2.0)
-        out.plot(
-            "green_vs_distance.svg",
-            series,
-            title="Green function vs distance",
-            xlabel="geodesic distance",
-            ylabel="G",
-        )
+    arcs = _arcs(ops.mesh, result.pole)  # any background: G_g + phi = G_round + const
+    order = np.argsort(arcs)
+    keep = arcs[order] > 0.5 * ops.mean_edge_length
+    dist = arcs[order][keep]
+    series = {"computed": (dist, result.field[order][keep])}
+    if _is_round(ops.mesh):
+        series["closed_form"] = (dist, -4.0 * np.log(np.sin(dist / 2.0)) - 2.0)
+    out.plot(
+        "green_vs_distance.svg", series, title="Green function vs distance",
+        xlabel="round distance", ylabel="G",
+    )
     return [
         f"green: pole={result.pole} A={result.A_value:.6f} "
         f"fit_residual={result.fit_residual:.3e}"
@@ -536,7 +532,7 @@ def _cmd_flow(spec: RunSpec, out: _Artifacts):
         {"max_curv_dev": (trace.times, trace.curvature_deviation)},
         title="curvature deviation",
         xlabel="t",
-        ylabel="log10 max deviation",
+        ylabel="max deviation",
         log_y=True,
     )
     return [

@@ -677,9 +677,13 @@ def _geodesic(ops: DiscreteOperators, source: int, radius: float):
     mesh = ops.mesh
     source = _count("source", source, 0, mesh.num_vertices - 1)
     if _is_round(mesh):
-        dots = mesh.vertices @ mesh.vertices[source]
-        return np.arccos(np.clip(dots, -1.0, 1.0)), True
+        return _arcs(mesh, source), True
     return _fast_march(mesh, mesh.background_factor, source, radius), False
+
+
+def _arcs(mesh: TriangulatedSphere, source: int) -> np.ndarray:
+    """Great-circle arcs on the unit sphere from vertex ``source``."""
+    return np.arccos(np.clip(mesh.vertices @ mesh.vertices[source], -1.0, 1.0))
 
 
 def _fmm_face_update(t_a, t_b, len_bc, len_ac, len_ab):
@@ -813,6 +817,8 @@ def sample_field(
         raise DataError("points must have shape (N, 3)")
     if not np.isfinite(points).all():
         raise DataError("points contain non-finite entries")
+    if (points == 0.0).all(axis=1).any():
+        raise DataError("points must be non-zero, they are projected radially")
     v, f = mesh.vertices, mesh.faces
     vert_faces, starts = _vertex_faces(mesh)
     tree = cKDTree(v)
@@ -897,6 +903,8 @@ def write_field_csv(path, values: np.ndarray) -> None:
 
 def read_field_csv(path, expected_vertices: int | None = None) -> np.ndarray:
     """Read a 'vertex,value' CSV written by :func:`write_field_csv`."""
+    if expected_vertices is not None:
+        expected_vertices = _count("expected_vertices", expected_vertices, 0)
     reader = csv.reader(_text(path, "ascii").splitlines())
     header = next(reader, None)
     if header is None or [h.strip() for h in header[:2]] != ["vertex", "value"]:

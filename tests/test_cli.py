@@ -22,6 +22,7 @@ from liouvillelab import (
     onofri_suite,
     read_off_mesh,
 )
+from liouvillelab import mesh as mesh_module
 from liouvillelab.errors import NumericError
 from liouvillelab.svg import write_line_plot
 
@@ -192,15 +193,40 @@ class TestSingleCommands:
         field_rows = (tmp_path / "green_field.csv").read_text().splitlines()
         assert len(field_rows) == 162 + 1
 
-    def test_green_figure_on_a_bumpy_background_spans_the_sphere(self, tmp_path):
-        # The fit's march stops at its annulus; the figure still shows every
-        # vertex but the pole, with finite coordinates.
+    def test_green_figure_on_a_bumpy_background_spans_the_sphere(self, tmp_path, monkeypatch):
+        # The fit's march, stopped at its annulus, is the run's only one; the
+        # figure's round arcs still place every vertex but the pole, with
+        # finite coordinates.
+        calls = []
+        march = mesh_module._fast_march
+
+        def counting(mesh, phi, source, radius):
+            calls.append((assemble_operators(mesh).mean_edge_length, radius))
+            return march(mesh, phi, source, radius)
+
+        monkeypatch.setattr(mesh_module, "_fast_march", counting)
         args = ["green", "--level", 4, "--pole", 5, "--metric-amp", 0.3, "--out", tmp_path]
         assert run(args) == 0
+        assert len(calls) == 1
+        h, radius = calls[0]
+        assert radius == 8.0 * h
         svg = (tmp_path / "green_vs_distance.svg").read_text()
         assert "nan" not in svg and "inf" not in svg
+        assert ">round distance</text>" in svg
         points = re.search(r'<polyline points="([^"]*)"', svg).group(1).split()
         assert len(points) == 2562 - 1
+
+    @pytest.mark.parametrize(
+        ("args", "figure"),
+        [
+            (["mean-field", "--level", 2, "--eps", 0.5], "residual_trace.svg"),
+            (["flow", "--level", 2, "--t-end", 1], "flow_deviation.svg"),
+        ],
+    )
+    def test_log_axis_names_log10_once(self, tmp_path, args, figure):
+        assert run([*args, "--out", tmp_path]) == 0
+        svg = (tmp_path / figure).read_text()
+        assert svg.count("log10") == 1
 
     def test_bubble_report(self, tmp_path):
         assert run(["bubble", "--R", 1.0, "--out", tmp_path]) == 0

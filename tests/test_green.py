@@ -134,6 +134,30 @@ class TestBumpyGreen:
             assert np.isinf(green.distances[beyond]).all()
             assert np.array_equal(green.distances[~beyond], full.distances[~beyond])
 
+    @pytest.mark.parametrize("background", ["mobius", "band"])
+    def test_round_fit_of_shifted_field_matches_marched_A(self, background):
+        # G_g + phi = G_round + const, so the annulus fit of G_g + phi against
+        # round arcs, plus phi(pole), is A_g without a march.  Level 5: at
+        # level 4 the band background's gap reaches 0.048.
+        mesh = L.build_icosphere(5)
+        if background == "mobius":
+            phi = L.mobius_dilation_factor(mesh, 2.0)
+        else:
+            phi = L.random_band_field(mesh, 2, 6, 0.4)
+        ops = L.assemble_operators(L.set_conformal_background(mesh, phi, normalize=True))
+        phi = ops.mesh.background_factor
+        round_ops = L.assemble_operators(mesh)
+        poles = np.random.default_rng(5).choice(mesh.num_vertices, 3, replace=False)
+        for pole in poles:
+            green = L.solve_green(ops, pole)
+            arcs, exact = geodesic_distances(round_ops, pole)
+            assert exact
+            shifted = replace(green, field=green.field + phi, distances=arcs)
+            a_round = L.extract_A(shifted, round_ops) + phi[pole]
+            assert abs(a_round - green.A_value) < 0.01
+            if background == "mobius":
+                assert abs(a_round - A_ROUND) < 0.02
+
     def test_march_stops_at_the_fit_annulus(self, monkeypatch):
         # Measured 2.1% of the full march's front updates at level 5.
         ops = self._band_ops(5)

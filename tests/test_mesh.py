@@ -427,6 +427,14 @@ def test_sample_field_refuses_non_finite_input(ops2, bad):
         sample_field(mesh, values, points)
 
 
+def test_sample_field_refuses_a_zero_point(ops2):
+    # A zero point has no radial projection: bad input, not a numerical failure.
+    mesh = ops2.mesh
+    points = np.vstack([mesh.vertices[:2], [[0.0, -0.0, 0.0]]])
+    with pytest.raises(DataError, match="non-zero"):
+        sample_field(mesh, np.zeros(mesh.num_vertices), points)
+
+
 def test_round_mass_matches_add_at_reference():
     # The per-corner accumulation the bincount replaced, in the same order.
     mesh = build_icosphere(3)

@@ -5,6 +5,8 @@ DataError naming it when it is not one finite real entry per vertex."""
 
 import inspect
 import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +18,17 @@ from liouvillelab import DataError, ParameterError
 INTEGER_NAMES = {
     "level", "seed", "bands", "samples", "trials", "modes", "starts",
     "iterations", "grid_n", "quadrature_n", "max_iterations", "pole", "source",
+    "expected_vertices",
 }
+
+
+def _read_one_row(expected_vertices):
+    # One row, so a cast would accept True and 1.0 as its count.
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "field.csv"
+        L.write_field_csv(path, [0.0])
+        return L.read_field_csv(path, expected_vertices)
+
 
 # (entry point, integer parameter) -> (call with that parameter set to the
 # given value and every other argument valid, the integer just below its
@@ -27,6 +39,7 @@ COUNTS = {
     ("random_band_field", "seed"): (lambda ops, v: L.random_band_field(ops.mesh, v, 3, 0.5), -1),
     ("random_band_field", "bands"): (lambda ops, v: L.random_band_field(ops.mesh, 0, v, 0.5), 0),
     ("geodesic_distances", "source"): (lambda ops, v: L.geodesic_distances(ops, v), -1),
+    ("read_field_csv", "expected_vertices"): (lambda ops, v: _read_one_row(v), -1),
     ("solve_green", "pole"): (lambda ops, v: L.solve_green(ops, v), -1),
     ("bubble_checks", "quadrature_n"): (lambda ops, v: L.bubble_checks(1.0, v), 15),
     ("disk_min_dirichlet", "grid_n"): (
