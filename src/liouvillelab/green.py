@@ -5,9 +5,13 @@ The Green's function G of the working metric solves
 
     -Delta G + 2 K = 8 pi delta_pole,    int G dV = 0,
 
-which is solvable because the curvature integrates to exactly 4 pi.  Near
-the pole G behaves like -4 ln(distance) + A + o(1); the constant A feeds
-the lower-bound predictor.  The bubble
+which is solvable because the curvature integrates to exactly 4 pi.  The
+discrete system is the cotangent stiffness pinned at one vertex, which
+makes it SPD; the pin's constant is removed by a shift to zero mean.  On an
+icosphere it is solved by conjugate gradients with a multigrid V-cycle
+over the icosphere's own subdivision levels.  Near the pole G behaves like
+-4 ln(distance) + A + o(1); the constant A feeds the lower-bound
+predictor.  The bubble
 
     phi0(x) = -2 ln(1 + pi |x|^2)
 
@@ -32,7 +36,7 @@ from .mesh import (
     DiscreteOperators,
     ScalarField,
     _geodesic,
-    _solve,
+    _multigrid,
     sample_field,
 )
 
@@ -45,6 +49,7 @@ _MIN_ANNULUS_VERTICES = 30
 class GreenResult:
     """Green field with the regular-part fit attached.
 
+    field has zero metric mean (the pinned solution, shifted);
     fit_window is the (inner, outer) annulus radii actually used;
     distance_exact records whether geodesic distances were exact arcs
     (round background) or came from fast marching over the faces (bumpy
@@ -81,18 +86,26 @@ def solve_green(ops: DiscreteOperators, pole: int) -> GreenResult:
 
     The discrete source is a unit point mass at the pole scaled by 8*pi,
     paired with the lumped masses; compatibility (source total equals the
-    curvature integral) is exact, and the zero-mean normalization is
-    enforced through a bordered system with a scaled multiplier column.
-    A bumpy background's distances are marched only to the fit annulus.
+    curvature integral) is exact.  The system is S pinned at one vertex k,
+    S + e_k e_k^T, which is SPD; its solution, shifted to zero metric mean,
+    is the field the zero-mean bordered system gives.  On an icosphere
+    finer than level 3 it is solved by conjugate gradients with a
+    multigrid V-cycle over the mesh's own subdivision levels, otherwise by
+    one sparse LU.  A bumpy background's distances are marched only to the
+    fit annulus.
     """
     n = ops.mass.shape[0]
     pole = _count("pole", pole, 0, n - 1)
     rhs = -2.0 * ops.curvature * ops.mass
     rhs[pole] += EIGHT_PI
-    column = ops.mass / FOUR_PI
-    system = sp.bmat([[ops.stiffness, column[:, None]], [column[None, :], None]])
-    solution = _solve(system, np.concatenate([rhs, [0.0]]), "Green system", ops.mesh)
-    g_field = solution[:n]
+    # The pin is the one of the first twelve vertices farthest from the
+    # pole: every icosphere level keeps them, and a pin near the pole would
+    # shift the whole solution by the pole's large value, and its rounding.
+    vertices = ops.mesh.vertices
+    pin = int(np.argmin(vertices[:12] @ vertices[pole]))
+    pinned = ops.stiffness + sp.csr_matrix(([1.0], ([pin], [pin])), shape=(n, n))
+    solution = _multigrid(pinned, "Green system", ops.mesh)(rhs)
+    g_field = solution - (solution @ ops.mass) / ops.total_area
     distances, exact = _geodesic(ops, pole, _ANNULUS_OUTER * ops.mean_edge_length)
     result = GreenResult(
         field=g_field,

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import copy
 import csv
+import functools
 import heapq
 import logging
 import math
@@ -44,7 +45,7 @@ FOUR_PI = 4.0 * np.pi
 # Per-vertex real array aligned with mesh.vertices.
 ScalarField = np.ndarray
 
-_MAX_LEVEL = 7  # 163842 vertices; one Green solve there peaks near 490 MB
+_MAX_LEVEL = 7  # 163842 vertices; one Green solve there peaks near 320 MB
 _UNIT_NORM_TOL = 1e-12
 _MIN_ANGLE_DEG = 1.0
 _LEAF_SIZE = 32  # nested-dissection parts this small are not split
@@ -193,15 +194,14 @@ def _solve(matrix, rhs, what: str, mesh: TriangulatedSphere | None = None) -> np
     """One-shot sparse solve; any failure is a NumericError naming ``what``.
 
     With a mesh, the matrix is factored as P A P^T in the mesh's
-    nested-dissection order (rows beyond the vertex count, such as a
-    border, last) and the solution is permuted back; without one, in the
-    order given.  Either way SuperLU takes the columns in that order
-    (``permc_spec="NATURAL"``) and keeps its partial row pivoting, so
-    indefinite and bordered systems still get a pivoted LU: a poor order
-    costs fill and time, not accuracy.  Failures cover SuperLU's
-    RuntimeError, SciPy's MatrixRankWarning and a non-finite solution.
-    SciPy is called through ``spla`` attributes, so wrappers installed on
-    scipy.sparse.linalg see every call.
+    nested-dissection order and the solution is permuted back; without
+    one, in the order given.  Either way SuperLU takes the columns in that
+    order (``permc_spec="NATURAL"``) and keeps its partial row pivoting, so
+    indefinite systems still get a pivoted LU: a poor order costs fill and
+    time, not accuracy.  Failures cover SuperLU's RuntimeError, SciPy's
+    MatrixRankWarning and a non-finite solution.  SciPy is called through
+    ``spla`` attributes, so wrappers installed on scipy.sparse.linalg see
+    every call.
     """
     if _RANK_FILTER not in warnings.filters:
         warnings.filterwarnings("error", "", spla.MatrixRankWarning, _RANK_MODULE)
@@ -230,14 +230,95 @@ def _factor(matrix, what: str, mesh: TriangulatedSphere | None = None):
     return _solve_factored
 
 
+_MG_COARSEST = 642  # level 3; at 2562 the identity-order LU alone takes 0.6 s
+_MG_OMEGA = 0.7  # damped Jacobi weight
+_MG_SWEEPS = 2  # Jacobi sweeps before and after each coarse correction
+_MG_TOLERANCE = 1e-13  # relative residual at which conjugate gradients stop
+_MG_MAX_ITERATIONS = 100
+
+
+def _multigrid(matrix, what: str, mesh: TriangulatedSphere):
+    """Solver for an SPD vertex matrix on a subdivided mesh; returns ``solve(rhs)``.
+
+    Conjugate gradients, preconditioned by one V-cycle over the levels that
+    :func:`build_icosphere` recorded, down to _MG_COARSEST vertices.  The
+    prolongation P keeps each coarse vertex and gives a midpoint half of
+    each end of its parent edge; the coarse matrices are the Galerkin
+    products P^T A P; the smoother is damped Jacobi; the coarsest matrix is
+    factored by _factor in the identity order.  The solve stops at a
+    relative residual of _MG_TOLERANCE.  A mesh with no recorded level
+    above _MG_COARSEST vertices goes through _solve.  Every failure is a
+    NumericError naming ``what``; the iteration cap's gives the residual.
+    """
+    fine = matrix.tocsr()
+    if fine.shape[0] <= _MG_COARSEST or not mesh._geometry.subdivisions:
+        return functools.partial(_solve, matrix, what=what, mesh=mesh)
+    levels = []  # (matrix, Jacobi weights, prolongation from the level below)
+    level = fine
+    for edges in reversed(mesh._geometry.subdivisions):
+        if level.shape[0] <= _MG_COARSEST:
+            break
+        prolongation = _prolongation(edges, level.shape[0] - len(edges))
+        levels.append((level, _MG_OMEGA / level.diagonal(), prolongation))
+        level = (prolongation.T @ level @ prolongation).tocsr()
+    coarsest = _factor(level, what)
+
+    def _cycle(rhs, depth=0):
+        if depth == len(levels):
+            return coarsest(rhs)
+        operator, weights, prolongation = levels[depth]
+        x = weights * rhs  # the first sweep, from zero
+        for _ in range(_MG_SWEEPS - 1):
+            x += weights * (rhs - operator @ x)
+        x += prolongation @ _cycle(prolongation.T @ (rhs - operator @ x), depth + 1)
+        for _ in range(_MG_SWEEPS):
+            x += weights * (rhs - operator @ x)
+        return x
+
+    def _solve_iteratively(rhs):
+        x, r = np.zeros_like(rhs), rhs.copy()
+        scale = np.linalg.norm(rhs) or 1.0
+        direction, rz, iterations = None, None, 0
+        while (residual := np.linalg.norm(r) / scale) > _MG_TOLERANCE:
+            if iterations == _MG_MAX_ITERATIONS:
+                raise NumericError(
+                    f"{what} did not converge: relative residual {residual:.3g} "
+                    f"after {iterations} iterations"
+                )
+            iterations += 1
+            z = _cycle(r)
+            rz, previous = r @ z, rz
+            direction = z if direction is None else z + (rz / previous) * direction
+            image = fine @ direction
+            step = rz / (direction @ image)
+            x += step * direction
+            r -= step * image
+        return _finite_solution(x, what)  # a NaN residual ends the loop too
+
+    return _solve_iteratively
+
+
+def _prolongation(edges, coarse):
+    # Level-to-level interpolation: the identity on the coarse vertices,
+    # then row coarse + k is (e_i + e_j)/2, where edges[k] = i*coarse + j.
+    count = len(edges)
+    ends = np.stack([edges // coarse, edges % coarse], axis=1).ravel()
+    return sp.csr_matrix(
+        (
+            np.concatenate([np.ones(coarse), np.full(2 * count, 0.5)]),
+            np.concatenate([np.arange(coarse), ends]),
+            np.concatenate([np.arange(coarse + 1), coarse + 2 * np.arange(1, count + 1)]),
+        ),
+        shape=(coarse + count, coarse),
+    )
+
+
 def _permuted(matrix, mesh):
-    # (P A P^T in CSC, the order): the mesh's vertex order, then any
-    # further rows in place; the identity order without a mesh.
-    size = matrix.shape[0]
+    # (P A P^T in CSC, the order): the mesh's vertex order, or the
+    # identity order without a mesh.
     if mesh is None:
-        return matrix.tocsc(), np.arange(size)
+        return matrix.tocsc(), np.arange(matrix.shape[0])
     order = _ordering(mesh)
-    order = np.concatenate([order, np.arange(len(order), size)])
     return matrix.tocsr()[order][:, order].tocsc(), order
 
 
@@ -310,6 +391,7 @@ class _Geometry:
     mean_edge_length: float | None = None
     order: np.ndarray | None = None  # nested-dissection vertex order
     basis: tuple | None = None  # (lmax, eigenvalues, aligned round eigenbasis)
+    subdivisions: tuple = ()  # _subdivide's edge keys, coarsest level first
 
 
 def _icosahedron() -> tuple[np.ndarray, np.ndarray]:
@@ -335,10 +417,12 @@ def _icosahedron() -> tuple[np.ndarray, np.ndarray]:
     return verts, faces
 
 
-def _subdivide(verts: np.ndarray, faces: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _subdivide(verts: np.ndarray, faces: np.ndarray):
     # One 4-to-1 geodesic split: edge midpoints are pushed to the sphere.
     # Edge (i, j), i < j, is the int64 key i*V + j, which sorts like the row;
-    # the directed edges run corner 0->1, 1->2, 2->0 face by face.
+    # the directed edges run corner 0->1, 1->2, 2->0 face by face.  Returns
+    # the new vertices and faces and the sorted edge keys, whose k-th entry
+    # is the parent edge of new vertex V + k.
     n = len(verts)
     tails, heads = faces.ravel(), faces[:, [1, 2, 0]].ravel()
     keys = np.minimum(tails, heads) * n + np.maximum(tails, heads)
@@ -355,7 +439,7 @@ def _subdivide(verts: np.ndarray, faces: np.ndarray) -> tuple[np.ndarray, np.nda
             np.stack([m01, m12, m20], axis=1),
         ]
     )
-    return np.vstack([verts, mid]), new_faces
+    return np.vstack([verts, mid]), new_faces, edges
 
 
 def build_icosphere(level: int) -> TriangulatedSphere:
@@ -363,12 +447,18 @@ def build_icosphere(level: int) -> TriangulatedSphere:
 
     Level 0 is the icosahedron (12 vertices); each level quadruples the
     face count, giving V = 2 + 10*4^level.  Levels above 7 are refused.
+    Each level keeps the vertices of the one below as its first rows; the
+    mesh records the edges each split bisected, for :func:`_multigrid`.
     """
     level = _count("level", level, 0, _MAX_LEVEL)
     verts, faces = _icosahedron()
+    subdivisions = []
     for _ in range(level):
-        verts, faces = _subdivide(verts, faces)
-    return TriangulatedSphere(verts, faces, np.zeros(len(verts)))
+        verts, faces, edges = _subdivide(verts, faces)
+        subdivisions.append(edges)
+    mesh = TriangulatedSphere(verts, faces, np.zeros(len(verts)))
+    mesh._geometry.subdivisions = tuple(subdivisions)
+    return mesh
 
 
 def _geometric_core(mesh: TriangulatedSphere) -> _Geometry:

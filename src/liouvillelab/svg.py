@@ -20,12 +20,27 @@ def _ticks(lo: float, hi: float, count: int = 5) -> np.ndarray:
     return np.linspace(lo, hi, count)
 
 
+def _column_extremes(px: np.ndarray, py: np.ndarray):
+    # Rank each run of consecutive points in one pixel column by y; its
+    # first and last ranks are the ones a column can show.
+    run = np.cumsum(np.r_[True, np.diff(np.floor(px)) != 0])
+    order = np.lexsort((py, run))
+    ranked = run[order]
+    change = ranked[1:] != ranked[:-1]
+    keep = np.zeros(len(px), dtype=bool)
+    keep[order[np.r_[True, change] | np.r_[change, True]]] = True
+    return px[keep], py[keep]
+
+
 def write_line_plot(path, series: dict, title: str, xlabel: str, ylabel: str,
                     log_y: bool = False) -> None:
     """Write one SVG with a polyline per named series.
 
     series maps a label to (xs, ys) arrays; rows with a non-finite x or y,
-    or with nonpositive y when log_y plots log10 of y, are dropped.
+    or with nonpositive y when log_y plots log10 of y, are dropped.  Of each
+    run of consecutive points in one pixel column only the lowest and the
+    highest are drawn, in their order, so the file's size is bounded by the
+    canvas, not by the series.
     """
     prepared = {}
     for label, (xs, ys) in series.items():
@@ -94,7 +109,7 @@ def write_line_plot(path, series: dict, title: str, xlabel: str, ylabel: str,
     )
     for idx, (label, (xs, ys)) in enumerate(prepared.items()):
         color = _COLORS[idx % len(_COLORS)]
-        px, py = to_px(xs, ys)
+        px, py = _column_extremes(*to_px(xs, ys))
         points = " ".join(f"{a:.2f},{b:.2f}" for a, b in zip(px, py))
         parts.append(
             f'<polyline points="{points}" fill="none" stroke="{color}" stroke-width="1.5"/>'

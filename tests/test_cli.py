@@ -213,8 +213,12 @@ class TestSingleCommands:
         svg = (tmp_path / "green_vs_distance.svg").read_text()
         assert "nan" not in svg and "inf" not in svg
         assert ">round distance</text>" in svg
+        # The arcs run from the nearest vertex to the antipode, at pi.
+        assert ">3.142</text>" in svg
         points = re.search(r'<polyline points="([^"]*)"', svg).group(1).split()
-        assert len(points) == 2562 - 1
+        xs = [float(point.split(",")[0]) for point in points]
+        assert xs == sorted(xs)
+        assert (xs[0], xs[-1]) == (64.0, 624.0)  # the plot's left and right edges
 
     @pytest.mark.parametrize(
         ("args", "figure"),
@@ -702,6 +706,22 @@ class TestOptionTable:
                 run([command, "--level", 1, "--eps", 0.5, "--out", tmp_path])
         assert seen["minimize"][0][1] == SolverConfig(epsilon=0.5)
         assert set(seen["mean-field"][1]) == {"initial"}
+
+
+def test_line_plot_keeps_each_pixel_columns_extremes_in_order(tmp_path):
+    # 40,961 points, the level-6 Green figure's count, on a 560-pixel-wide
+    # plot: at most the lowest and highest point of each column remain.
+    xs = np.linspace(0.0, np.pi, 40961)
+    ys = np.cos(50.0 * xs)
+    ys[20000] = 3.0  # a spike inside one column is kept
+    path = tmp_path / "plot.svg"
+    write_line_plot(path, {"s": (xs, ys)}, title="t", xlabel="x", ylabel="y")
+    points = re.search(r'<polyline points="([^"]*)"', path.read_text()).group(1).split()
+    px, py = np.array([point.split(",") for point in points], dtype=float).T
+    assert len(points) <= 2 * 561
+    assert (np.diff(px) >= 0).all()
+    assert py.min() == 28.0  # the spike, at the plot's top edge
+    assert (px.min(), px.max()) == (64.0, 624.0)
 
 
 @pytest.mark.parametrize("log_y", [False, True])

@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.integrate import IntegrationWarning
 
 import liouvillelab as L
@@ -173,6 +174,52 @@ class TestBumpyGreen:
         stopped = calls[0]
         geodesic_distances(ops, 0)
         assert 0 < stopped < 0.05 * (calls[0] - stopped)
+
+
+def _background_ops(level, background):
+    mesh = L.build_icosphere(level)
+    if background == "mobius":
+        phi = L.mobius_dilation_factor(mesh, 2.0)
+    else:
+        phi = L.random_band_field(mesh, 7, 8, 0.3)
+    return L.assemble_operators(L.set_conformal_background(mesh, phi, normalize=True))
+
+
+class TestGreenSolver:
+    @pytest.mark.parametrize("level", [4, 5, 6])
+    def test_matches_the_bordered_direct_solve(self, level, monkeypatch):
+        # The zero-mean normalization as a bordered row and column, factored
+        # in the mesh order with the border last.  Multigrid takes 9-10
+        # iterations at every level.
+        monkeypatch.setattr(mesh_module, "_MG_MAX_ITERATIONS", 12)
+        ops = _background_ops(level, "mobius")
+        n = ops.mesh.num_vertices
+        column = ops.mass[:, None] / (4.0 * np.pi)
+        system = sp.bmat([[ops.stiffness, column], [column.T, None]]).tocsr()
+        order = np.append(mesh_module._ordering(ops.mesh), n)
+        solve = mesh_module._factor(system[order][:, order], "bordered Green system")
+        for pole in (0, 5, n // 3):
+            rhs = np.append(-2.0 * ops.curvature * ops.mass, 0.0)
+            rhs[pole] += 8.0 * np.pi
+            expected = np.empty(n + 1)
+            expected[order] = solve(rhs[order])
+            expected = expected[:-1]
+            field = L.solve_green(ops, pole).field
+            assert np.abs(field - expected).max() <= 1e-12 * np.abs(expected).max()
+
+    @pytest.mark.parametrize("background", ["mobius", "band"])
+    @pytest.mark.parametrize("level", [3, 4, 5])
+    def test_background_shifts_the_round_field_by_minus_phi(self, level, background):
+        # K_g m_g = m_round + S phi / 2, so S G_g = S (G_round - phi): the two
+        # differ by a constant.  Level 3 is solved directly, 4-5 by multigrid.
+        ops = _background_ops(level, background)
+        phi = ops.mesh.background_factor
+        round_mesh = L.set_conformal_background(ops.mesh, np.zeros_like(phi))
+        round_ops = L.assemble_operators(round_mesh)
+        for pole in (0, 17, ops.mesh.num_vertices - 1):
+            round_field = L.solve_green(round_ops, pole).field
+            gap = L.solve_green(ops, pole).field - (round_field - phi)
+            assert np.ptp(gap) <= 1e-12 * np.abs(round_field).max()
 
 
 class TestGreenValidation:

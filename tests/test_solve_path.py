@@ -14,7 +14,8 @@ import scipy.sparse.linalg as spla
 
 import liouvillelab as L
 from liouvillelab.errors import NumericError
-from liouvillelab.mesh import FOUR_PI, _factor, _ordering, _solve
+from liouvillelab import mesh as mesh_module
+from liouvillelab.mesh import _factor, _multigrid, _ordering, _solve
 
 SRC = Path(L.__file__).parent
 SOLVERS = {"spsolve", "splu", "eigsh"}
@@ -170,17 +171,50 @@ def test_singular_green_system_emits_no_warning(ops2):
     assert caught == []
 
 
-def test_singular_green_system_is_one_error_from_either_helper(ops2):
-    # The bordered system in the mesh order, factored once or solved once.
+def test_singular_green_system_is_one_error_from_any_helper(ops2):
+    # The pinned system in the mesh order, factored once or solved once;
+    # multigrid solves a level-2 mesh in one _solve.
     ops = _singular(ops2)
-    column = ops.mass[:, None] / FOUR_PI
-    system = sp.bmat([[ops.stiffness, column], [column.T, None]])
+    system = ops.stiffness + sp.csr_matrix(([1.0], ([0], [0])), shape=ops.stiffness.shape)
     rhs = np.ones(system.shape[0])
     with warnings.catch_warnings(record=True) as caught:
         with pytest.raises(NumericError, match="exactly singular"):
             _solve(system, rhs, "Green system", ops.mesh)
         with pytest.raises(NumericError, match="exactly singular"):
             _factor(system, "Green system", ops.mesh)(rhs)
+        with pytest.raises(NumericError, match="exactly singular"):
+            _multigrid(system, "Green system", ops.mesh)(rhs)
+    assert caught == []
+
+
+def test_green_multigrid_factors_only_the_coarsest_level(monkeypatch):
+    # A fresh level-5 mesh: no nested-dissection order is cached on it.
+    ops = L.assemble_operators(L.build_icosphere(5))
+    sizes = []
+    for name in ("splu", "spsolve"):
+        solver = getattr(spla, name)
+
+        def recording(matrix, *args, solver=solver, **options):
+            sizes.append(matrix.shape[0])
+            return solver(matrix, *args, **options)
+
+        monkeypatch.setattr(spla, name, recording)
+    L.solve_green(ops, 5)
+    assert sizes == [642]
+    assert ops.mesh._geometry.order is None
+
+
+@pytest.mark.parametrize("kind", ["raise", "nan", "cap"])
+def test_failed_green_multigrid_is_one_numeric_error(ops4, monkeypatch, kind):
+    if kind == "cap":
+        monkeypatch.setattr(mesh_module, "_MG_MAX_ITERATIONS", 2)
+        what = r"Green system did not converge: relative residual \S+ after 2 iterations"
+    else:
+        _patch_splu(monkeypatch, kind)
+        what = "Green system"
+    with warnings.catch_warnings(record=True) as caught:
+        with pytest.raises(NumericError, match=what):
+            L.solve_green(ops4, 5)
     assert caught == []
 
 
@@ -221,12 +255,6 @@ MESH_SITES = {
     "round_eigensolve": ("splu", SITES["round_eigensolve"][1]),
     "poincare_eigensolve": ("splu", SITES["poincare_eigensolve"][1]),
 }
-
-
-def test_green_border_is_ordered_last(ops3, monkeypatch):
-    handed = _handed(monkeypatch, "spsolve", MESH_SITES["green"][1], ops3)
-    border = handed[-1, :-1].toarray().ravel()
-    assert np.array_equal(border, ops3.mass[_ordering(ops3.mesh)] / FOUR_PI)
 
 
 @pytest.mark.parametrize("site", sorted(MESH_SITES))
