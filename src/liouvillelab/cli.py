@@ -28,6 +28,7 @@ from .errors import (
     ParameterError,
     ResolutionError,
     _text,
+    _write,
 )
 from .flow import run_flow
 from .green import (
@@ -213,10 +214,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve(ns: argparse.Namespace, config_file) -> RunSpec:
+def _resolve(ns: argparse.Namespace) -> RunSpec:
     """Each option from its flag, else the config file, else its default."""
-    path = ns.config if ns.config is not None else config_file
-    cfg = _read_config(path) if path is not None else {}
+    cfg = _read_config(ns.config) if ns.config is not None else {}
     values = {}
     for key, f in _OPTIONS.items():
         value = getattr(ns, f.name)
@@ -265,7 +265,7 @@ def _write_json(path: Path, obj) -> None:
         text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
     except ValueError as exc:
         raise NumericError(f"non-finite value in {path.name}: {exc}") from exc
-    path.write_text(text + "\n", encoding="ascii")
+    _write(path, text + "\n")
 
 
 # How str() and _g17 spell the values no artifact may contain.
@@ -279,7 +279,7 @@ def _write_csv(path: Path, header: str, rows) -> None:
         if _NON_FINITE.intersection(cells):
             raise NumericError(f"non-finite value in {path.name}: {','.join(cells)}")
         lines.append(",".join(cells))
-    path.write_text("\n".join(lines) + "\n", encoding="ascii")
+    _write(path, "\n".join(lines) + "\n")
 
 
 class _Artifacts:
@@ -707,7 +707,7 @@ _EXIT_CODES = {
 }
 
 
-def parse_and_run(argv, config_file=None) -> int:
+def parse_and_run(argv) -> int:
     """Run one harness command; returns the process exit status.
 
     Exit codes: 0 success, 2 parameter or input-data errors, 3 convergence
@@ -717,7 +717,7 @@ def parse_and_run(argv, config_file=None) -> int:
     try:
         # Converters run inside parse_args, so a bad --eps list raises here.
         ns = _build_parser().parse_args(list(argv))
-        return _execute(_resolve(ns, config_file))
+        return _execute(_resolve(ns))
     except SystemExit as exc:  # argparse: --help, or a malformed command line
         return 0 if exc.code in (0, None) else 2
     except tuple(_EXIT_CODES) as exc:

@@ -2,9 +2,10 @@
 bad scalar parameter into a :class:`ParameterError` (``_count`` for counts,
 indices and seeds, integers only; ``_real`` for real parameters, finite
 only), the one check that turns a bad per-vertex field into a
-:class:`DataError` (``_field``: one finite real entry per vertex), and the
-one reader of a file the user names (``_text``: a file that cannot be read
-or decoded is a :class:`DataError`)."""
+:class:`DataError` (``_field``: one finite real entry per vertex), the one
+reader of a file the user names (``_text``) and the one writer of the files
+the lab writes (``_write``: ASCII, LF line ends); a file that cannot be
+read, decoded or written is a :class:`DataError` naming the path."""
 
 from __future__ import annotations
 
@@ -82,6 +83,15 @@ def _text(path, encoding: str) -> str:
         return Path(path).read_text(encoding=encoding)
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
+
+
+def _write(path, text: str) -> None:
+    """Write text to the file at path as ASCII with LF line ends on every
+    platform; a path that cannot be written is a DataError naming it."""
+    try:
+        Path(path).write_text(text, encoding="ascii", newline="\n")
+    except OSError as exc:
+        raise DataError(f"cannot write {path}: {exc}") from exc
 
 
 class MeshQualityError(LabError):

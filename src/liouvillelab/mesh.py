@@ -36,7 +36,7 @@ from scipy.spatial import cKDTree
 from scipy.special import sph_harm_y
 
 from .errors import DataError, MeshQualityError, NumericError, ParameterError
-from .errors import ResolutionError, _count, _field, _real, _text
+from .errors import ResolutionError, _count, _field, _real, _text, _write
 
 logger = logging.getLogger(__name__)
 
@@ -164,8 +164,8 @@ class DiscreteOperators:
     flat_area : float
         Total flat triangle area before the Gauss-Bonnet rescale.
     mass_correction : float
-        Factor 4*pi / flat_area applied to the round masses; 1.0 means the
-        rescale was a no-op (never the case on a genuinely curved mesh).
+        Factor 4*pi / flat_area by which the round masses are always
+        rescaled; above 1 on every icosphere.
     mean_edge_length : float
         Average round edge length, the resolution scale h.
     """
@@ -240,15 +240,16 @@ _MG_MAX_ITERATIONS = 100
 def _multigrid(matrix, what: str, mesh: TriangulatedSphere):
     """Solver for an SPD vertex matrix on a subdivided mesh; returns ``solve(rhs)``.
 
-    Conjugate gradients, preconditioned by one V-cycle over the levels that
-    :func:`build_icosphere` recorded, down to _MG_COARSEST vertices.  The
-    prolongation P keeps each coarse vertex and gives a midpoint half of
-    each end of its parent edge; the coarse matrices are the Galerkin
-    products P^T A P; the smoother is damped Jacobi; the coarsest matrix is
-    factored by _factor in the identity order.  The solve stops at a
-    relative residual of _MG_TOLERANCE.  A mesh with no recorded level
-    above _MG_COARSEST vertices goes through _solve.  Every failure is a
-    NumericError naming ``what``; the iteration cap's gives the residual.
+    SciPy's conjugate gradients, preconditioned by one V-cycle over the
+    levels that :func:`build_icosphere` recorded, down to _MG_COARSEST
+    vertices.  The prolongation P keeps each coarse vertex and gives a
+    midpoint half of each end of its parent edge; the coarse matrices are
+    the Galerkin products P^T A P; the smoother is damped Jacobi; the
+    coarsest matrix is factored by _factor in the identity order.  The
+    solve stops at a relative residual of _MG_TOLERANCE.  A mesh with no
+    recorded level above _MG_COARSEST vertices goes through _solve.  Every
+    failure is a NumericError naming ``what``; the iteration cap's gives
+    the residual.
     """
     fine = matrix.tocsr()
     if fine.shape[0] <= _MG_COARSEST or not mesh._geometry.subdivisions:
@@ -276,24 +277,18 @@ def _multigrid(matrix, what: str, mesh: TriangulatedSphere):
         return x
 
     def _solve_iteratively(rhs):
-        x, r = np.zeros_like(rhs), rhs.copy()
-        scale = np.linalg.norm(rhs) or 1.0
-        direction, rz, iterations = None, None, 0
-        while (residual := np.linalg.norm(r) / scale) > _MG_TOLERANCE:
-            if iterations == _MG_MAX_ITERATIONS:
-                raise NumericError(
-                    f"{what} did not converge: relative residual {residual:.3g} "
-                    f"after {iterations} iterations"
-                )
-            iterations += 1
-            z = _cycle(r)
-            rz, previous = r @ z, rz
-            direction = z if direction is None else z + (rz / previous) * direction
-            image = fine @ direction
-            step = rz / (direction @ image)
-            x += step * direction
-            r -= step * image
-        return _finite_solution(x, what)  # a NaN residual ends the loop too
+        x, info = spla.cg(
+            fine, rhs, rtol=_MG_TOLERANCE, atol=0.0, maxiter=_MG_MAX_ITERATIONS,
+            M=spla.LinearOperator(fine.shape, matvec=_cycle),
+        )
+        _finite_solution(x, what)  # first: CG runs a NaN to its cap
+        if info > 0:
+            residual = np.linalg.norm(rhs - fine @ x) / np.linalg.norm(rhs)
+            raise NumericError(
+                f"{what} did not converge: relative residual {residual:.3g} "
+                f"after {info} iterations"
+            )
+        return x
 
     return _solve_iteratively
 
@@ -512,13 +507,10 @@ def _geometric_core(mesh: TriangulatedSphere) -> _Geometry:
     round_mass = np.bincount(f.T.ravel(), weights=np.tile(areas / 3.0, 3), minlength=n)
     flat_area = float(round_mass.sum())
     correction = FOUR_PI / flat_area
-    if abs(correction - 1.0) > 1e-9:
-        round_mass = round_mass * correction
-        logger.info(
-            "round mass rescaled by %.12f (flat area deficit %.3e)",
-            correction,
-            FOUR_PI - flat_area,
-        )
+    round_mass = round_mass * correction
+    logger.info(
+        "round mass rescaled by %.12f (flat area deficit %.3e)", correction, FOUR_PI - flat_area
+    )
 
     edges = mesh.edges()
     dots = np.einsum("ij,ij->i", v[edges[:, 0]], v[edges[:, 1]])
@@ -943,13 +935,10 @@ def sample_field(
 
 def write_off_mesh(path, mesh: TriangulatedSphere) -> None:
     """Write vertices and faces in OFF format (counts line 'V F 0')."""
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("OFF\n")
-        fh.write(f"{mesh.num_vertices} {mesh.num_faces} 0\n")
-        for x, y, z in mesh.vertices:
-            fh.write(f"{x:.17g} {y:.17g} {z:.17g}\n")
-        for a, b, c in mesh.faces:
-            fh.write(f"3 {a} {b} {c}\n")
+    lines = ["OFF", f"{mesh.num_vertices} {mesh.num_faces} 0"]
+    lines += [f"{x:.17g} {y:.17g} {z:.17g}" for x, y, z in mesh.vertices]
+    lines += [f"3 {a} {b} {c}" for a, b, c in mesh.faces]
+    _write(path, "\n".join(lines) + "\n")
 
 
 def read_off_mesh(path) -> TriangulatedSphere:
@@ -980,15 +969,13 @@ def read_off_mesh(path) -> TriangulatedSphere:
 
 
 def write_field_csv(path, values: np.ndarray) -> None:
-    """Write a vertex field as 'vertex,value' CSV rows; the values must be finite."""
+    """Write a vertex field as 'vertex,value' CSV rows with LF line ends; the
+    values must be finite (NumericError), and an unwritable path is a DataError."""
     values = np.asarray(values, dtype=np.float64)
     if not np.isfinite(values).all():
         raise NumericError(f"non-finite value in field file {path}")
-    with open(path, "w", newline="", encoding="ascii") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["vertex", "value"])
-        for i, val in enumerate(values):
-            writer.writerow([i, f"{val:.17g}"])
+    lines = ["vertex,value"] + [f"{i},{val:.17g}" for i, val in enumerate(values)]
+    _write(path, "\n".join(lines) + "\n")
 
 
 def read_field_csv(path, expected_vertices: int | None = None) -> np.ndarray:

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import _write
+
 _WIDTH, _HEIGHT = 640, 400
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 64, 16, 28, 44
 _COLORS = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e"]
@@ -120,5 +122,4 @@ def write_line_plot(path, series: dict, title: str, xlabel: str, ylabel: str,
             f'fill="{color}">{label}</text>'
         )
     parts.append("</svg>")
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(parts) + "\n")
+    _write(path, "\n".join(parts) + "\n")

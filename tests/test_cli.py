@@ -446,6 +446,26 @@ class TestExitCodes:
         assert sorted(tmp_path.iterdir()) == [afile]
         assert afile.read_text() == "kept\n"
 
+    @pytest.mark.parametrize(
+        ("args", "name"),
+        [
+            (["minimize", "--level", 2], "u_min.csv"),
+            (["sweep-eps", "--level", 2, "--eps", 0.5], "sweep.csv"),
+            (["bubble"], "bubble.json"),
+            (["mesh-info", "--level", 2], "mesh.off"),
+            (["flow", "--level", 2, "--t-end", 0.5], "flow_energy.svg"),
+        ],
+        ids=["field-csv", "csv", "json", "off", "svg"],
+    )
+    def test_unwritable_artifact_is_one_typed_line(self, tmp_path, capsys, args, name):
+        # A directory where an artifact should go: each kind of writer
+        # reports the path in one DataError line, not a traceback.
+        out = tmp_path / "out"
+        (out / name).mkdir(parents=True)
+        assert run([*args, "--out", out]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert re.match(rf"DataError in \S+: cannot write {re.escape(str(out / name))}: ", line)
+
     def test_failed_run_leaves_no_directory(self, tmp_path, capsys):
         # The output directory is made at the first write, not before the work.
         out = tmp_path / "o1"
@@ -671,13 +691,13 @@ class TestOptionTable:
         cfg = tmp_path / "run.cfg"
         cfg.write_text("eps = 0.5, 0.25\n")
         ns = cli._build_parser().parse_args(["sweep-eps", "--config", str(cfg)])
-        assert cli._resolve(ns, None).epsilons == (0.5, 0.25)
+        assert cli._resolve(ns).epsilons == (0.5, 0.25)
         ns = cli._build_parser().parse_args(["sweep-eps", "--eps", "0.5,0.25"])
-        assert cli._resolve(ns, None).epsilons == (0.5, 0.25)
+        assert cli._resolve(ns).epsilons == (0.5, 0.25)
 
     def test_unset_options_take_run_spec_defaults(self):
         ns = cli._build_parser().parse_args(["flow"])
-        assert cli._resolve(ns, None) == cli.RunSpec(command="flow")
+        assert cli._resolve(ns) == cli.RunSpec(command="flow")
         assert cli.RunSpec(command="flow").output_dir == "runs/flow"
 
     def test_command_choices_are_the_handlers(self):

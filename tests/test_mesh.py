@@ -580,6 +580,10 @@ def test_field_csv_roundtrip_and_validation(tmp_path, rng):
     write_field_csv(path, values)
     back = read_field_csv(path, expected_vertices=42)
     assert np.array_equal(back, values)
+    assert b"\r" not in path.read_bytes()  # LF line ends on every platform
+    crlf = tmp_path / "crlf.csv"
+    crlf.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+    assert np.array_equal(read_field_csv(crlf, expected_vertices=42), values)
 
     with pytest.raises(DataError):
         read_field_csv(path, expected_vertices=12)
