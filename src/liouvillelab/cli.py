@@ -656,7 +656,9 @@ def _locate(exc: BaseException) -> str:
 
     Frames are matched by their module's import name (``__spec__``), which
     stays ``liouvillelab.cli`` when the CLI runs as ``python -m`` and its
-    ``__name__`` is ``__main__``.
+    ``__name__`` is ``__main__``.  A method of a private class is private
+    too; its class is read off ``self``, since ``co_qualname`` needs
+    Python 3.11.
     """
     best = "cli.parse_and_run"
     best_public = None
@@ -668,7 +670,8 @@ def _locate(exc: BaseException) -> str:
         if module.startswith("liouvillelab"):
             name = f"{module.rsplit('.', 1)[-1]}.{frame.f_code.co_name}"
             best = name
-            if not frame.f_code.co_name.startswith("_"):
+            owner = type(frame.f_locals.get("self")).__name__
+            if not (frame.f_code.co_name.startswith("_") or owner.startswith("_")):
                 best_public = name
         tb = tb.tb_next
     return best_public or best

@@ -466,6 +466,22 @@ class TestExitCodes:
         (line,) = capsys.readouterr().err.splitlines()
         assert re.match(rf"DataError in \S+: cannot write {re.escape(str(out / name))}: ", line)
 
+    @pytest.mark.parametrize(
+        ("args", "name"),
+        [(["bubble"], "bubble.json"), (["sweep-eps", "--level", 2, "--eps", 0.5], "sweep.csv")],
+        ids=["json", "csv"],
+    )
+    def test_private_writer_methods_are_not_the_reported_operation(
+        self, tmp_path, capsys, args, name
+    ):
+        # _Artifacts.json and _Artifacts.csv are methods of a private class,
+        # so the line names the innermost public frame, not "cli.json".
+        out = tmp_path / "out"
+        (out / name).mkdir(parents=True)
+        assert run([*args, "--out", out]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("DataError in cli.parse_and_run: cannot write ")
+
     def test_failed_run_leaves_no_directory(self, tmp_path, capsys):
         # The output directory is made at the first write, not before the work.
         out = tmp_path / "o1"

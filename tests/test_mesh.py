@@ -30,6 +30,7 @@ from liouvillelab import (
     write_off_mesh,
 )
 from liouvillelab.mesh import (
+    _face_arcs,
     _fast_march,
     _geometric_core,
     _icosahedron,
@@ -458,7 +459,21 @@ def test_vertex_faces_matches_loop_reference():
             expected[vertex].append(fi)
     faces, starts = _vertex_faces(mesh)
     assert starts[0] == 0 and starts[-1] == len(faces)
-    assert [faces[lo:hi] for lo, hi in zip(starts, starts[1:])] == expected
+    assert [faces[lo:hi].tolist() for lo, hi in zip(starts, starts[1:])] == expected
+
+
+def test_march_tables_are_cached_per_geometry(bumpy3):
+    # The incidence and the round arcs depend only on the vertices and
+    # faces, so a background copy reads the same arrays.
+    mesh = bumpy3.mesh
+    copy = set_conformal_background(mesh, -mesh.background_factor)
+    assert _vertex_faces(copy) is _vertex_faces(mesh)
+    assert _face_arcs(copy) is _face_arcs(mesh)
+    v, f = mesh.vertices, mesh.faces
+    for k in range(3):  # the edge opposite corner k runs from corner k+1 to k+2
+        ends = v[f[:, (k + 1) % 3]], v[f[:, (k + 2) % 3]]
+        arcs = np.arccos(np.clip(np.einsum("ij,ij->i", *ends), -1.0, 1.0))
+        assert np.abs(_face_arcs(mesh)[:, k] - arcs).max() <= 1e-15
 
 
 def _reference_edges(mesh):

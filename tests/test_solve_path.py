@@ -1,6 +1,7 @@
 """Every sparse factor and solve goes through mesh._solve or mesh._factor,
-every eigensolve through mesh._lowest_modes, and every way such a solve can
-fail comes out as one NumericError."""
+every eigensolve through mesh._lowest_modes, every iterative solve through
+mesh._multigrid, and every way such a solve can fail comes out as one
+NumericError."""
 
 import ast
 import dataclasses
@@ -15,10 +16,11 @@ import scipy.sparse.linalg as spla
 import liouvillelab as L
 from liouvillelab.errors import NumericError
 from liouvillelab import mesh as mesh_module
-from liouvillelab.mesh import _factor, _multigrid, _ordering, _solve
+from liouvillelab import solver as solver_module
+from liouvillelab.mesh import _factor, _multigrid, _ordering, _solve, _v_cycle
 
 SRC = Path(L.__file__).parent
-SOLVERS = {"spsolve", "splu", "eigsh"}
+SOLVERS = {"spsolve", "splu", "eigsh", "cg"}
 
 
 def _failing(kind):
@@ -218,6 +220,63 @@ def test_failed_green_multigrid_is_one_numeric_error(ops4, monkeypatch, kind):
     assert caught == []
 
 
+@pytest.mark.parametrize("background", ["round", "band"])
+@pytest.mark.parametrize("level", [4, 5])
+def test_h1_cycle_is_symmetric_and_positive(level, background):
+    # The minimizer's H1 direction is -cycle(grad * mass); it descends
+    # because one V-cycle of S + M is a symmetric positive definite map.
+    mesh = L.build_icosphere(level)
+    if background == "band":
+        phi = L.random_band_field(mesh, 7, 8, 0.3)
+        mesh = L.set_conformal_background(mesh, phi, normalize=True)
+    ops = L.assemble_operators(mesh)
+    cycle = _v_cycle(ops.stiffness + sp.diags(ops.mass), "H1 preconditioner", mesh)
+    rng = np.random.default_rng(level)
+    for _ in range(4):
+        x, y = rng.standard_normal((2, mesh.num_vertices))
+        cx, cy = cycle(x), cycle(y)
+        scale = np.linalg.norm(x) * np.linalg.norm(cy) + np.linalg.norm(y) * np.linalg.norm(cx)
+        assert abs(y @ cx - x @ cy) <= 1e-12 * scale  # measured <= 3e-17
+        assert x @ cx > 0.0 and y @ cy > 0.0
+
+
+def test_minimizer_factors_only_the_coarsest_level(monkeypatch):
+    # A fresh level-5 mesh: the H1 steps run V-cycles, whose one LU is the
+    # 642-row coarsest level; SciPy's spsolve sees only the Newton systems.
+    ops = L.assemble_operators(L.build_icosphere(5))
+    start = _band(ops)  # its eigensolve factors the fine mesh, before recording
+    factored, solved, newton = [], [], []
+    for name, sizes in (("splu", factored), ("spsolve", solved)):
+        solver = getattr(spla, name)
+
+        def recording(matrix, *args, solver=solver, sizes=sizes, **options):
+            sizes.append(matrix.shape[0])
+            return solver(matrix, *args, **options)
+
+        monkeypatch.setattr(spla, name, recording)
+    direction = solver_module._newton_direction
+
+    def counting(*args):
+        newton.append(args)
+        return direction(*args)
+
+    monkeypatch.setattr(solver_module, "_newton_direction", counting)
+    result = L.minimize_perturbed(ops, L.SolverConfig(epsilon=0.5), start)
+    assert factored == [642]
+    assert result.polish_steps > 0
+    assert solved == [ops.mesh.num_vertices] * len(newton)
+
+
+@pytest.mark.parametrize("kind", ["raise", "nan"])
+def test_failed_h1_cycle_is_one_numeric_error(ops4, monkeypatch, kind):
+    start = _band(ops4)
+    _patch_splu(monkeypatch, kind)
+    with warnings.catch_warnings(record=True) as caught:
+        with pytest.raises(NumericError, match="H1 preconditioner"):
+            L.minimize_perturbed(ops4, L.SolverConfig(epsilon=0.5), start)
+    assert caught == []
+
+
 def test_ordering_is_a_cached_permutation(ops3):
     order = _ordering(ops3.mesh)
     assert np.array_equal(np.sort(order), np.arange(ops3.mesh.num_vertices))
@@ -300,6 +359,7 @@ def test_sparse_solvers_are_called_only_in_the_helpers():
     assert sorted(_sparse_solver_uses()) == [
         ("mesh", "_factor", "splu"),
         ("mesh", "_lowest_modes", "eigsh"),
+        ("mesh", "_multigrid", "cg"),
         ("mesh", "_solve", "spsolve"),
     ]
 
