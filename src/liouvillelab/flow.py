@@ -64,24 +64,27 @@ def _semi_implicit(ops, u, dt):
 def _guarded_step(ops, u, energy, dt):
     """Step from u, halving dt until the energy does not rise above energy.
 
-    Returns (u_new, energy_new, dt_used), or None once dt drops below the
-    floor.  The slack is 1e-12 relative.
+    The given dt is always tried, even below the floor; a halved one only
+    while it is at least the floor.  Returns (u_new, energy_new, dt_used),
+    or None once no dt is left to try.  The slack is 1e-12 relative.
     """
-    while dt >= _DT_FLOOR:
+    while True:
         u_new = _semi_implicit(ops, u, dt)
         energy_new = liouville_energy(ops, u_new).total
         if energy_new <= energy + 1e-12 * (1.0 + abs(energy)):
             return u_new, energy_new, dt
         dt *= 0.5
-    return None
+        if dt < _DT_FLOOR:
+            return None
 
 
 def flow_step(ops: DiscreteOperators, u: ScalarField, dt: float) -> ScalarField:
     """One accepted step of the normalized flow starting from dt.
 
     The step is retried with halved dt until the Liouville energy does not
-    increase (1e-12 relative slack); hitting the 1e-8 floor raises a
-    stiffness NumericError.  The returned factor has exact volume 4*pi.
+    increase (1e-12 relative slack); a dt below the 1e-8 floor gets one
+    try, and halving below it raises a stiffness NumericError.  The
+    returned factor has exact volume 4*pi.
     """
     dt = _real("dt", dt, 0.0)
     u0 = _renormalize(ops, _field("u", u, len(ops.mass)))

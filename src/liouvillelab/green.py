@@ -7,11 +7,12 @@ The Green's function G of the working metric solves
 
 which is solvable because the curvature integrates to exactly 4 pi.  The
 discrete system is the cotangent stiffness pinned at one vertex, which
-makes it SPD; the pin's constant is removed by a shift to zero mean.  On an
-icosphere it is solved by conjugate gradients with a multigrid V-cycle
-over the icosphere's own subdivision levels.  Near the pole G behaves like
--4 ln(distance) + A + o(1); the constant A feeds the lower-bound
-predictor.  The bubble
+makes it SPD; the pin's constant is removed by a shift to zero mean.  It
+is solved by conjugate gradients preconditioned by a multigrid V-cycle
+over the mesh's recorded subdivision levels; on a mesh with none above
+level 3 (and on an OFF mesh) the cycle is the system's exact LU.  Near
+the pole G behaves like -4 ln(distance) + A + o(1); the constant A feeds
+the lower-bound predictor.  The bubble
 
     phi0(x) = -2 ln(1 + pi |x|^2)
 
@@ -88,11 +89,11 @@ def solve_green(ops: DiscreteOperators, pole: int) -> GreenResult:
     paired with the lumped masses; compatibility (source total equals the
     curvature integral) is exact.  The system is S pinned at one vertex k,
     S + e_k e_k^T, which is SPD; its solution, shifted to zero metric mean,
-    is the field the zero-mean bordered system gives.  On an icosphere
-    finer than level 3 it is solved by conjugate gradients with a
-    multigrid V-cycle over the mesh's own subdivision levels, otherwise by
-    one sparse LU.  A bumpy background's distances are marched only to the
-    fit annulus.
+    is the field the zero-mean bordered system gives.  It is solved by
+    conjugate gradients preconditioned by one V-cycle over the mesh's own
+    subdivision levels, which on levels 0-3 and OFF meshes is the exact
+    LU.  A bumpy background's distances are marched only to the fit
+    annulus.
     """
     n = ops.mass.shape[0]
     pole = _count("pole", pole, 0, n - 1)

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import copy
 import csv
-import functools
 import heapq
 import logging
 import math
@@ -238,33 +237,32 @@ _MG_MAX_ITERATIONS = 100
 
 
 def _v_cycle(matrix, what: str, mesh: TriangulatedSphere):
-    """One V-cycle for an SPD vertex matrix; returns ``cycle(rhs)``, or None
-    on a mesh with no recorded level above _MG_COARSEST vertices (levels
-    0-3, OFF meshes), which each caller solves directly.
+    """One V-cycle for an SPD vertex matrix; returns ``cycle(rhs)``, checked
+    finite; every failure is a NumericError naming ``what``.
 
     The levels are those :func:`build_icosphere` recorded, down to
     _MG_COARSEST vertices.  The prolongation P keeps each coarse vertex and
     gives a midpoint half of each end of its parent edge; the coarse
     matrices are the Galerkin products P^T A P; _MG_SWEEPS damped-Jacobi
     sweeps run before and after each coarse correction; the coarsest
-    matrix is factored by _factor in the identity order, so its failures
-    are NumericErrors naming ``what``.  The sweeps after mirror the sweeps
-    before, so the cycle is symmetric, and it is positive definite while
-    the sweeps contract, _MG_OMEGA * lambda_max(D^-1 A) < 2 on every
-    level: at most 1.4 on a matrix with positive cotangent weights (by
-    Gershgorin), 1.13 measured on the Galerkin levels of S + M.
+    matrix is factored by _factor in the identity order.  A mesh with no
+    level to sweep (levels 0-3, OFF meshes) gets the coarsest solve alone,
+    the exact LU by _factor in the mesh order.  The sweeps after mirror
+    the sweeps before, so the cycle is symmetric, and it is positive
+    definite while the sweeps contract, _MG_OMEGA * lambda_max(D^-1 A) < 2
+    on every level: at most 1.4 on a matrix with positive cotangent
+    weights (by Gershgorin), 1.13 measured on the Galerkin levels of S + M.
     """
-    fine = matrix.tocsr()
-    if fine.shape[0] <= _MG_COARSEST or not mesh._geometry.subdivisions:
-        return None
     levels = []  # (matrix, Jacobi weights, prolongation from the level below)
-    level = fine
+    level = matrix.tocsr()
     for edges in reversed(mesh._geometry.subdivisions):
         if level.shape[0] <= _MG_COARSEST:
             break
         prolongation = _prolongation(edges, level.shape[0] - len(edges))
         levels.append((level, _MG_OMEGA / level.diagonal(), prolongation))
         level = (prolongation.T @ level @ prolongation).tocsr()
+    if not levels:
+        return _factor(matrix, what, mesh)
     coarsest = _factor(level, what)
 
     def _cycle(rhs, depth=0):
@@ -279,20 +277,19 @@ def _v_cycle(matrix, what: str, mesh: TriangulatedSphere):
             x += weights * (rhs - operator @ x)
         return x
 
-    return _cycle
+    return lambda rhs: _finite_solution(_cycle(rhs), what)
 
 
 def _multigrid(matrix, what: str, mesh: TriangulatedSphere):
-    """Solver for an SPD vertex matrix on a subdivided mesh; returns ``solve(rhs)``.
+    """Solver for an SPD vertex matrix; returns ``solve(rhs)``.
 
     SciPy's conjugate gradients, preconditioned by one :func:`_v_cycle`
-    per iteration, stopped at a relative residual of _MG_TOLERANCE.  A
-    mesh the cycle does not cover goes through _solve.  Every failure is a
-    NumericError naming ``what``; the iteration cap's gives the residual.
+    per iteration, stopped at a relative residual of _MG_TOLERANCE.  On a
+    mesh with no level to sweep the cycle is the exact LU, and CG stops
+    after two LU solves.  Every failure is a NumericError naming
+    ``what``; the iteration cap's gives the residual.
     """
     cycle = _v_cycle(matrix, what, mesh)
-    if cycle is None:
-        return functools.partial(_solve, matrix, what=what, mesh=mesh)
     fine = matrix.tocsr()
 
     def _solve_iteratively(rhs):
@@ -310,24 +307,6 @@ def _multigrid(matrix, what: str, mesh: TriangulatedSphere):
         return x
 
     return _solve_iteratively
-
-
-def _preconditioner(matrix, what: str, mesh: TriangulatedSphere):
-    """Symmetric positive approximate inverse of an SPD vertex matrix, for
-    preconditioned steps; returns ``solve(rhs)``.
-
-    One :func:`_v_cycle` per solve, checked finite; a mesh the cycle does
-    not cover gets the exact inverse through _factor.  Every failure is a
-    NumericError naming ``what``.
-    """
-    cycle = _v_cycle(matrix, what, mesh)
-    if cycle is None:
-        return _factor(matrix, what, mesh)
-
-    def _solve_cycled(rhs):
-        return _finite_solution(cycle(rhs), what)
-
-    return _solve_cycled
 
 
 def _prolongation(edges, coarse):
@@ -482,7 +461,7 @@ def build_icosphere(level: int) -> TriangulatedSphere:
     Level 0 is the icosahedron (12 vertices); each level quadruples the
     face count, giving V = 2 + 10*4^level.  Levels above 7 are refused.
     Each level keeps the vertices of the one below as its first rows; the
-    mesh records the edges each split bisected, for :func:`_multigrid`.
+    mesh records the edges each split bisected, for :func:`_v_cycle`.
     """
     level = _count("level", level, 0, _MAX_LEVEL)
     verts, faces = _icosahedron()
@@ -966,6 +945,11 @@ def sample_field(
         raise DataError("points contain non-finite entries")
     if (points == 0.0).all(axis=1).any():
         raise DataError("points must be non-zero, they are projected radially")
+    # Scaled by exact powers of two to at most 1 in each row: the radial
+    # projection is the same, and a point far from the sphere neither
+    # overflows the tree's distances nor underflows the barycentric solve.
+    _, exponent = np.frexp(np.abs(points).max(axis=1))
+    points = np.ldexp(points, -exponent[:, None])
     v, f = mesh.vertices, mesh.faces
     vert_faces, starts = _vertex_faces(mesh)
     tree = cKDTree(v)
@@ -1030,6 +1014,9 @@ def read_off_mesh(path) -> TriangulatedSphere:
         raise DataError(f"malformed OFF file: {exc}") from exc
     if (face_tokens[:, 0] != 3).any():
         raise DataError("only triangle faces are supported")
+    surplus = tokens[pos + 4 * nf :]
+    if surplus:
+        raise DataError(f"malformed OFF file: {len(surplus)} tokens after the {nf} faces")
     return TriangulatedSphere(verts, face_tokens[:, 1:], np.zeros(nv))
 
 

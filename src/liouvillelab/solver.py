@@ -18,7 +18,7 @@ from .energy import (
     perturbed_gradient,
 )
 from .errors import ConvergenceError, NumericError, ResolutionError, _count, _field, _real
-from .mesh import DiscreteOperators, ScalarField, _preconditioner, _solve, integrate
+from .mesh import DiscreteOperators, ScalarField, _solve, _v_cycle, integrate
 
 _STEP_FLOOR = 2.0**-30
 _DISK_MAX_JUMP = np.log(2.0) / 2.0  # exp(2 v0) may at most double across a disk cell
@@ -114,14 +114,14 @@ def minimize_perturbed(
     at small epsilon; it is taken when Armijo backtracking on the energy
     accepts it.  Otherwise, and for 3 steps after a rejected try, the step
     is H1 gradient descent with Armijo backtracking, preconditioned by one
-    multigrid V-cycle of stiffness plus mass (its exact LU on a mesh with
-    no recorded level above 642 vertices; either is symmetric positive
-    definite, so the direction descends).  Trial points are projected onto
-    the hyperplane; max_iterations caps all steps, and the trace's
-    energies never rise.  Raises ConvergenceError with the best iterate
-    attached if the gradient norm misses the tolerance when the budget is
-    spent or the energy reaches its roundoff floor, NumericError if the
-    functional overflows at the start.
+    multigrid V-cycle of stiffness plus mass, which on a mesh with no
+    recorded level above 642 vertices is its exact LU (symmetric positive
+    definite either way, so the direction descends).  Trial points are
+    projected onto the hyperplane; max_iterations caps all steps, and the
+    trace's energies never rise.  Raises ConvergenceError with the best
+    iterate attached if the gradient norm misses the tolerance when the
+    budget is spent or the energy reaches its roundoff floor, NumericError
+    if the functional overflows at the start.
     """
     if initial is None:
         initial = np.zeros(ops.mass.shape)
@@ -135,9 +135,7 @@ def minimize_perturbed(
     if not np.isfinite(energy + grad_norm):
         raise NumericError("the functional overflows at the initial field")
     rows = [(0, energy, grad_norm)]
-    precond = _preconditioner(
-        ops.stiffness + sp.diags(ops.mass), "H1 preconditioner", ops.mesh
-    )
+    precond = _v_cycle(ops.stiffness + sp.diags(ops.mass), "H1 preconditioner", ops.mesh)
     h1_step = 1.0
     newton_steps = rejected = 0  # rejected: last step whose Newton try failed
     for iteration in range(1, config.max_iterations + 1):

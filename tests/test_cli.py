@@ -639,11 +639,11 @@ class TestExitCodes:
             "    return np.full(len(rhs), np.nan)\n"
             "spla.spsolve = spsolve\n"
         )
-        proc = run_module(["green", "--level", 3, "--out", tmp_path], prelude)
+        proc = run_module(["flow", "--level", 2, "--out", tmp_path], prelude)
         assert proc.returncode == 4
         lines = proc.stderr.splitlines()
         assert len(lines) == 1
-        assert lines[0].startswith("NumericError in green.solve_green: ")
+        assert lines[0].startswith("NumericError in flow.run_flow: ")
         assert "Matrix is exactly singular" in lines[0]
         assert proc.stderr == lines[0] + "\n"
 

@@ -94,6 +94,20 @@ class TestFlowStep:
         with pytest.raises(DataError):
             flow_step(ops3, np.zeros(7), 0.01)
 
+    def test_step_below_the_floor_is_tried(self, ops3):
+        # The floor stops the halving; a dt already below it gets one try.
+        u0 = 0.2 * ops3.mesh.vertices[:, 2]
+        u1 = flow_step(ops3, u0, 5e-9)
+        before, after = (L.liouville_energy(ops3, u).total for u in (u0, u1))
+        assert after <= before + 1e-12 * (1.0 + abs(before))
+        assert (np.exp(u1) @ ops3.mass) == pytest.approx(FOUR_PI, abs=1e-10)
+
+    def test_run_ends_with_a_step_below_the_floor(self, ops2):
+        u0 = L.random_band_field(ops2.mesh, 0, 8, 0.5)
+        trace = run_flow(ops2, u0, 0.010000005)
+        assert trace.times == pytest.approx([0.0, 0.01, 0.010000005], rel=1e-12)
+        assert trace.step_sizes[-1] == pytest.approx(5e-9, rel=1e-6)
+
 
 class TestFailurePaths:
     def test_stiff_run_attaches_partial_trace(self, ops3):

@@ -436,6 +436,17 @@ def test_sample_field_refuses_a_zero_point(ops2):
         sample_field(mesh, np.zeros(mesh.num_vertices), points)
 
 
+@pytest.mark.parametrize("scale", [5e-324, 1e-300, 1e-100, 1e300])
+def test_sample_field_projects_points_at_any_scale(ops3, rng, scale):
+    # Far from the sphere, the tree's distances overflow and the
+    # barycentric solve underflows unless the points are rescaled first.
+    mesh = ops3.mesh
+    values = rng.standard_normal(mesh.num_vertices)
+    points = np.array([[1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, 1.0]])
+    expected = sample_field(mesh, values, points)
+    assert np.array_equal(sample_field(mesh, values, scale * points), expected)
+
+
 def test_round_mass_matches_add_at_reference():
     # The per-corner accumulation the bincount replaced, in the same order.
     mesh = build_icosphere(3)
@@ -574,6 +585,14 @@ def test_off_reader_rejects_garbage(tmp_path):
     quad.write_text("OFF\n4 1 0\n0 0 1\n1 0 0\n0 1 0\n-1 0 0\n4 0 1 2 3\n")
     with pytest.raises(DataError):
         read_off_mesh(quad)
+
+
+def test_off_reader_refuses_tokens_after_the_faces(tmp_path):
+    path = tmp_path / "m.off"
+    write_off_mesh(path, build_icosphere(1))
+    path.write_text(path.read_text() + "3 0 1 2\nfoo bar\n")
+    with pytest.raises(DataError, match="6 tokens after the 80 faces"):
+        read_off_mesh(path)
 
 
 @pytest.mark.parametrize("reader", [read_off_mesh, read_field_csv])

@@ -81,7 +81,7 @@ def _fresh_band(ops):
 # site -> (patch, call of the public entry, name of the failing system)
 SITES = {
     "flow": (_patch_spsolve, lambda ops: L.run_flow(ops, _band(ops), 1.0), "flow step"),
-    "green": (_patch_spsolve, lambda ops: L.solve_green(ops, 0), "Green system"),
+    "green": (_patch_splu, lambda ops: L.solve_green(ops, 0), "Green system"),
     "disk": (
         _patch_spsolve,
         lambda ops: L.disk_min_dirichlet(2.0, 0.3, 1.0, grid_n=256),
@@ -162,20 +162,20 @@ def _singular(ops):
 def test_singular_green_system_raises_typed_error_not_warning(ops2):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(NumericError, match="Matrix is exactly singular"):
+        with pytest.raises(NumericError, match="exactly singular"):
             L.solve_green(_singular(ops2), 0)
 
 
 def test_singular_green_system_emits_no_warning(ops2):
     with warnings.catch_warnings(record=True) as caught:
-        with pytest.raises(NumericError, match="Matrix is exactly singular"):
+        with pytest.raises(NumericError, match="exactly singular"):
             L.solve_green(_singular(ops2), 0)
     assert caught == []
 
 
 def test_singular_green_system_is_one_error_from_any_helper(ops2):
     # The pinned system in the mesh order, factored once or solved once;
-    # multigrid solves a level-2 mesh in one _solve.
+    # multigrid's cycle on a level-2 mesh is the same factor.
     ops = _singular(ops2)
     system = ops.stiffness + sp.csr_matrix(([1.0], ([0], [0])), shape=ops.stiffness.shape)
     rhs = np.ones(system.shape[0])
@@ -218,6 +218,55 @@ def test_failed_green_multigrid_is_one_numeric_error(ops4, monkeypatch, kind):
         with pytest.raises(NumericError, match=what):
             L.solve_green(ops4, 5)
     assert caught == []
+
+
+def _off_copy(mesh, path):
+    # The same vertices and faces read back from OFF: no recorded levels.
+    L.write_off_mesh(path, mesh)
+    return L.read_off_mesh(path)
+
+
+@pytest.mark.parametrize("system", ["H1", "Green"])
+@pytest.mark.parametrize("source", ["level3", "off_level4"])
+def test_cycle_without_levels_is_the_exact_solve(tmp_path, source, system):
+    # A mesh with no recorded level above 642 vertices has no level to
+    # sweep: its V-cycle is the coarsest solve, the LU of the whole matrix.
+    if source == "level3":
+        mesh = L.build_icosphere(3)
+    else:
+        mesh = _off_copy(L.build_icosphere(4), tmp_path / "mesh.off")
+    ops = L.assemble_operators(mesh)
+    n = mesh.num_vertices
+    if system == "H1":
+        matrix = ops.stiffness + sp.diags(ops.mass)
+    else:  # S pinned at a vertex, as solve_green pins it
+        matrix = ops.stiffness + sp.csr_matrix(([1.0], ([0], [0])), shape=(n, n))
+    rhs = np.random.default_rng(n).standard_normal(n)
+    expected = _solve(matrix, rhs, "test system", mesh)
+    solution = _v_cycle(matrix, "test system", mesh)(rhs)
+    assert np.linalg.norm(solution - expected) <= 1e-12 * np.linalg.norm(expected)
+
+
+@pytest.fixture(scope="module")
+def band4_pair(tmp_path_factory):
+    # A band background on the level-4 icosphere and on its OFF copy: the
+    # same system, solved by multigrid and by the exact LU.
+    built = L.build_icosphere(4)
+    phi = L.random_band_field(built, 7, 8, 0.3)
+    copied = _off_copy(built, tmp_path_factory.mktemp("off") / "mesh.off")
+    return [
+        L.assemble_operators(L.set_conformal_background(mesh, phi, normalize=True))
+        for mesh in (built, copied)
+    ]
+
+
+@pytest.mark.parametrize("pole", [0, 5, -1])
+def test_green_on_an_off_copy_matches_the_icosphere(band4_pair, pole):
+    pole %= band4_pair[0].mesh.num_vertices
+    built, copied = (L.solve_green(ops, pole) for ops in band4_pair)
+    scale = np.abs(built.field).max()
+    assert np.abs(copied.field - built.field).max() <= 1e-12 * scale
+    assert copied.A_value == pytest.approx(built.A_value, rel=1e-12)
 
 
 @pytest.mark.parametrize("background", ["round", "band"])
@@ -306,7 +355,7 @@ def _handed(monkeypatch, solver, entry, ops):
 # the minimizer reaches its Newton spsolve after its preconditioner's splu.
 MESH_SITES = {
     "flow": ("spsolve", SITES["flow"][1]),
-    "green": ("spsolve", SITES["green"][1]),
+    "green": ("splu", SITES["green"][1]),
     "mean_field_newton": ("spsolve", NEWTON_SITES["mean_field_newton"]),
     "minimizer_newton": ("spsolve", SITES["minimizer_preconditioner"][1]),
     "minimizer_preconditioner": ("splu", SITES["minimizer_preconditioner"][1]),
@@ -362,6 +411,32 @@ def test_sparse_solvers_are_called_only_in_the_helpers():
         ("mesh", "_multigrid", "cg"),
         ("mesh", "_solve", "spsolve"),
     ]
+
+
+SOLVE_HELPERS = {"_solve", "_factor", "_v_cycle", "_multigrid", "_lowest_modes"}
+
+
+def _solve_helper_imports():
+    # module -> the solve helpers it imports from mesh.
+    imports = {}
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "mesh":
+                names = {alias.name for alias in node.names} & SOLVE_HELPERS
+                if names:
+                    imports.setdefault(path.stem, set()).update(names)
+    return imports
+
+
+def test_each_module_imports_only_its_solve_helpers():
+    # One path per system: a second fallback would show up as a new import.
+    assert _solve_helper_imports() == {
+        "flow": {"_solve"},
+        "green": {"_multigrid"},
+        "inequalities": {"_factor", "_lowest_modes"},
+        "solver": {"_solve", "_v_cycle"},
+    }
 
 
 def test_solves_do_not_make_warnings_repeat(ops2):
