@@ -3,8 +3,9 @@
 Conventions: the unknown u is a per-vertex log density, the candidate
 metric is exp(u) times the working metric, volumes use the metric masses,
 and every exponential moment is evaluated with a max-shift so large fields
-cannot overflow.  The moment int exp(u) phi_i dV is discretized only in the
-``_exp_*`` helpers (lumped today, mass_i exp(u_i)), which take checked fields.
+cannot overflow.  The moment int exp(u) phi_i dV is discretized only in
+``_exp_weights`` (lumped today, mass_i exp(u_i)); the density and the
+operator derive from it, and all three take checked fields.
 """
 
 from __future__ import annotations
@@ -54,13 +55,18 @@ def _exp_weights(ops: DiscreteOperators, u: np.ndarray) -> np.ndarray:
 
 
 def _exp_density(ops: DiscreteOperators, u: np.ndarray) -> np.ndarray:
-    """Mass-gradient of ln int exp(u) dV: the normalized candidate density."""
-    return np.exp(u - log_volume(ops, u))
+    """Mass-gradient of ln int exp(u) dV: the normalized candidate density.
+
+    The weights' sum is the volume, so w / (mass * sum w) has unit mass;
+    the max-shift cancels in the ratio and keeps exp from overflowing.
+    """
+    weights = _exp_weights(ops, u - u.max())
+    return weights / (ops.mass * weights.sum())
 
 
 def _exp_operator(ops: DiscreteOperators, u: np.ndarray, scale: float = 1.0):
-    """Weighted mass operator h -> int scale exp(u) h phi_i dV, sparse."""
-    return sp.diags(scale * np.exp(u) * ops.mass)
+    """First variation of the weights, h -> int scale exp(u) h phi_i dV, sparse."""
+    return sp.diags(scale * _exp_weights(ops, u))
 
 
 def log_volume(ops: DiscreteOperators, u: np.ndarray) -> float:

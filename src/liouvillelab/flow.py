@@ -53,12 +53,15 @@ def _renormalize(ops, u):
 
 
 def _semi_implicit(ops, u, dt):
-    # (W + dt S) u_new = W (u + dt (2 - R_explicit)), W the exponential
-    # moment at u, with the curvature's Laplacian term moved to the left.
+    # Weak form of exp(u) u_t = 2 exp(u) + Delta u - 2 K, implicit in the
+    # Laplacian: (W + dt S) u_new = W u + 2 dt (w - K M), with W the moment's
+    # operator at u and w = W 1 its weights.  Since sum(K M) = 4 pi, a step
+    # from volume 4 pi keeps the volume to O(dt^2) under any moment rule.
     weight = _exp_operator(ops, u)
-    matrix = weight + dt * ops.stiffness
-    rhs = weight @ (u + dt * (2.0 - 2.0 * ops.curvature * np.exp(-u)))
-    return _renormalize(ops, _solve(matrix, rhs, "flow step", ops.mesh))
+    rhs = weight @ u + 2.0 * dt * (_exp_weights(ops, u) - ops.curvature * ops.mass)
+    return _renormalize(
+        ops, _solve(weight + dt * ops.stiffness, rhs, "flow step", ops.mesh)
+    )
 
 
 def _guarded_step(ops, u, energy, dt):

@@ -18,8 +18,8 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 from scipy.integrate import cumulative_trapezoid, simpson
 
-from .energy import _exp_density, log_volume, onofri_deficit
-from .errors import NumericError, _count, _real
+from .energy import _exp_density, _exp_operator, _exp_weights, log_volume, onofri_deficit
+from .errors import NumericError, ParameterError, _count, _real
 from .mesh import (
     FOUR_PI,
     DiscreteOperators,
@@ -124,7 +124,9 @@ def check_local_mt(
 
     nonnegative in the continuum for epsilon >= 0.  ``epsilon`` sharpens
     the exponent (the small-radius variant), ``amplitude_scale`` stresses
-    the scaling behavior.
+    the scaling behavior.  The fields are u(rho) = U(rho / r), so the
+    margin does not depend on r: it is evaluated on the unit disk, and r is
+    only validated and recorded.
     """
     r = _real("r", r, 0.0)
     samples = _count("samples", samples, 1)
@@ -133,12 +135,12 @@ def check_local_mt(
     modes = _count("modes", modes, 1)
     # 0 or 1 cells gave +inf margins; disk_min_dirichlet's floor
     grid_n = _count("grid_n", grid_n, 256)
-    grid = np.linspace(0.0, r, grid_n + 1)
-    bound_const = np.log(np.pi * r * r) + 1.0
+    grid = np.linspace(0.0, 1.0, grid_n + 1)
+    bound_const = np.log(np.pi) + 1.0
     coeff = 1.0 / SIXTEEN_PI + epsilon
 
     def margin_of(i, s_i, rng):
-        u, du = _radial_disk_field(rng, r, grid, modes, amplitude_scale)
+        u, du = _radial_disk_field(rng, 1.0, grid, modes, amplitude_scale)
         dirichlet = 2.0 * np.pi * simpson(du * du * grid, x=grid)
         exp_int = 2.0 * np.pi * simpson(np.exp(u) * grid, x=grid)
         return bound_const + coeff * dirichlet - np.log(exp_int)
@@ -198,7 +200,7 @@ def _ascend(ops, u0, kappa, metrics, cap):
     first is the negative Hessian at the constant maximizer, a Newton-like
     step that flattens both the 1/h^2 stiffness conditioning and the
     functional's curvature; it is positive only while 2 kappa lambda_1 >
-    1/A.  A step whose slope in the current metric is <= 0 switches the
+    1/V.  A step whose slope in the current metric is <= 0 switches the
     trial to the next metric (the Sobolev metric 2 kappa S + M, positive
     everywhere) for the rest of the trial; with no metric left the trial
     ends.  Doubling/backtracking line search; stops on a small tangent
@@ -271,12 +273,13 @@ def check_global_mt(
     worst_seed is the first trial's seed.
 
     The ascent steps in the negative Hessian at the constant,
-    H = K + (2/A^2) m m^T with K = 2 kappa S - diag(m)/A and A the total
-    area.  K is indefinite (-1/A on constants) and is factored once per
-    suite; since S 1 = 0, K^-1 m = -A 1, so Sherman-Morrison gives
-    H^-1 b = K^-1 b - (2/A)(m^T K^-1 b) 1 with no further solve.  A trial
+    H = K + (2/V^2) w w^T with K = 2 kappa S - W/V, where w, W and V are the
+    moment's weights, operator and volume at u = 0.  K is indefinite (-1/V
+    on constants) and is factored once per suite; since S 1 = 0 and W 1 = w,
+    K^-1 w = -V 1, so Sherman-Morrison gives
+    H^-1 b = K^-1 b - (2/V)(w^T K^-1 b) 1 with no further solve.  A trial
     whose step has a nonpositive slope in H (H is positive only while
-    2 kappa lambda_1 > 1/A, which strong backgrounds can break) continues in
+    2 kappa lambda_1 > 1/V, which strong backgrounds can break) continues in
     the Sobolev metric 2 kappa S + M, factored at most once per suite and
     only when a trial needs it.
     """
@@ -284,16 +287,18 @@ def check_global_mt(
     trials = _count("trials", trials, 1)
     seed = _count("seed", seed, 0)
     kappa = 1.0 / SIXTEEN_PI + epsilon
-    area = ops.total_area
+    zero = np.zeros(ops.mass.shape)
+    weights = _exp_weights(ops, zero)
+    volume = float(weights.sum())
     solve_k = _factor(
-        2.0 * kappa * ops.stiffness - sp.diags(ops.mass / area),
+        2.0 * kappa * ops.stiffness - _exp_operator(ops, zero, 1.0 / volume),
         "ascent metric",
         ops.mesh,
     )
 
     def solve_hessian(rhs):
         x = solve_k(rhs)
-        return x - (2.0 / area) * float(ops.mass @ x)
+        return x - (2.0 / volume) * float(weights @ x)
 
     @functools.cache
     def sobolev_factor():
@@ -305,7 +310,7 @@ def check_global_mt(
 
     def margin_of(i, s_i, rng):
         if i == 0:
-            u0 = np.zeros(ops.mass.shape)
+            u0 = zero
         else:
             bands = int(rng.integers(3, 12))
             amp = float(rng.uniform(0.3, 2.0))
@@ -475,17 +480,29 @@ def brezis_merle_check(
     value is 10x the widest-bump integral; margins are guard - integral.
     The empirical constant (the largest integral seen) is reported in
     parameters["max_integral"].
+
+    Every source is f(rho) = F(rho / r), so u scales by r^2 with ||f||_1
+    and each integral is r^2 times its unit-disk value: the suite runs on
+    the unit disk and scales the integrals, guard and margins by r^2.  An r
+    whose pi r^2 is not a normal positive float, or whose scaled guard
+    overflows, is refused with a ParameterError.
     """
     r = _real("r", r, 0.0)
     delta = _real("delta", delta, 0.0, FOUR_PI)
     samples = _count("samples", samples, 1)
     grid_n = _count("grid_n", grid_n, 256)
-    grid = np.linspace(0.0, r, grid_n + 1)
-    h = r / grid_n
-    widths = np.geomspace(r / 2.0, 4.0 * h, num=max(8, min(64, samples)))
-    reference = np.exp(-(grid**2) / (2.0 * (r / 2.0) ** 2))
+    grid = np.linspace(0.0, 1.0, grid_n + 1)
+    h = 1.0 / grid_n
+    widths = np.geomspace(0.5, 4.0 * h, num=max(8, min(64, samples)))
+    reference = np.exp(-(grid**2) / (2.0 * 0.5**2))
     guard, _ = _radial_poisson_exp_integral(grid, reference, delta)
     guard *= 10.0
+    scale = r * r
+    if not np.pi * scale >= np.finfo(float).tiny or np.isinf(guard * scale):
+        raise ParameterError(
+            f"r = {r:g} is out of range: pi r^2 = {np.pi * scale:g} and the guard "
+            f"{guard * scale:g} must be normal positive floats"
+        )
     integrals = []
 
     def margin_of(i, s_i, rng):
@@ -496,7 +513,7 @@ def brezis_merle_check(
                 -(grid**2) / (2.0 * sigma * sigma)
             )
         elif kind == 1:
-            f_values, _ = _radial_disk_field(rng, r, grid, 6, 1.0)
+            f_values, _ = _radial_disk_field(rng, 1.0, grid, 6, 1.0)
         else:
             s1, s2 = rng.choice(widths, size=2, replace=False)
             f_values = np.exp(-(grid**2) / (2 * s1 * s1)) - rng.uniform(
@@ -504,9 +521,10 @@ def brezis_merle_check(
             ) * np.exp(-(grid**2) / (2 * s2 * s2))
         integral, _ = _radial_poisson_exp_integral(grid, f_values, delta)
         integrals.append(integral)
-        return guard - integral
+        return (guard - integral) * scale
 
-    parameters = {"r": r, "delta": delta, "grid_n": grid_n, "guard": float(guard)}
+    parameters = {"r": r, "delta": delta, "grid_n": grid_n}
+    parameters["guard"] = float(guard * scale)
     report = _sampled_report("exp_integrability", samples, seed, margin_of, parameters)
-    report.parameters["max_integral"] = float(max(integrals))
+    report.parameters["max_integral"] = float(max(integrals) * scale)
     return report

@@ -82,13 +82,15 @@ class TriangulatedSphere:
             raise DataError("vertices must have shape (V, 3)")
         if self.faces.ndim != 2 or self.faces.shape[1] != 3:
             raise DataError("faces must have shape (F, 3)")
+        if len(self.faces) == 0:  # chi = V - 0 + 0 could still read 2
+            raise DataError("mesh has no faces")
         if not np.isfinite(self.vertices).all():
             raise DataError("vertices contain non-finite entries")
         self.background_factor = _field(
             "background_factor", self.background_factor, len(self.vertices)
         )
         norms = np.linalg.norm(self.vertices, axis=1)
-        if np.abs(norms - 1.0).max() > _UNIT_NORM_TOL:
+        if np.abs(norms - 1.0).max(initial=0.0) > _UNIT_NORM_TOL:
             raise DataError("vertices must lie on the unit sphere (|v| = 1)")
         if self.faces.min(initial=0) < 0 or self.faces.max(initial=-1) >= len(
             self.vertices

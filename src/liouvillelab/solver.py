@@ -18,7 +18,7 @@ from .energy import (
     perturbed_gradient,
 )
 from .errors import ConvergenceError, NumericError, ResolutionError, _count, _field, _real
-from .mesh import DiscreteOperators, ScalarField, _solve, _v_cycle, integrate
+from .mesh import DiscreteOperators, ScalarField, _solve, _v_cycle
 
 _STEP_FLOOR = 2.0**-30
 _DISK_MAX_JUMP = np.log(2.0) / 2.0  # exp(2 v0) may at most double across a disk cell
@@ -86,8 +86,8 @@ def project_constraint(ops: DiscreteOperators, u: np.ndarray) -> ScalarField:
     changes neither the energy nor the gradient; it is idempotent.
     """
     u = _field("u", u, len(ops.mass))
-    total = integrate(ops, ops.curvature)
-    return u - integrate(ops, ops.curvature * u) / total
+    total = float(ops.curvature @ ops.mass)
+    return u - float((ops.curvature * u) @ ops.mass) / total
 
 
 def _newton_direction(ops, epsilon, u, grad):
@@ -221,7 +221,7 @@ def solve_mean_field(
         gradient_tolerance=_real("tolerance", tolerance, 0.0) * EIGHT_PI,
     )
     if initial is None:
-        initial = np.full(ops.mass.shape, -np.log(ops.total_area))
+        initial = np.full(ops.mass.shape, -log_volume(ops, np.zeros(ops.mass.shape)))
     try:
         result = minimize_perturbed(ops, config, initial)
     except ConvergenceError as exc:

@@ -658,6 +658,24 @@ class TestExitCodes:
         assert len(lines) == 1
         assert lines[0].startswith("ConvergenceError in solver.solve_mean_field: ")
 
+    def test_mesh_without_faces_stderr_is_one_typed_line(self, tmp_path):
+        mesh_file = tmp_path / "empty.off"
+        mesh_file.write_text("OFF\n2 0 0\n1 0 0\n-1 0 0\n")
+        proc = run_module(["mesh-info", "--mesh-file", mesh_file, "--out", tmp_path / "out"])
+        assert proc.returncode == 2
+        assert proc.stderr == "DataError in mesh.read_off_mesh: mesh has no faces\n"
+
+    @pytest.mark.parametrize("r", ["1e-200", "1e200"])
+    def test_extreme_disk_radius_stderr_is_one_typed_line(self, tmp_path, r):
+        # pi r^2 underflows or overflows: refused, with no warning ahead
+        proc = run_module(
+            ["inequalities", "--level", 2, "--samples", 3, "--r", r, "--out", tmp_path]
+        )
+        assert proc.returncode == 2
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("ParameterError in ")
+
     def test_coarse_band_field_stderr_is_one_typed_line(self, tmp_path):
         # 24 bands need the l = 4 block, which a level-1 mesh cannot resolve.
         proc = run_module(

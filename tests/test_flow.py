@@ -4,6 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 import liouvillelab as L
 from liouvillelab.errors import DataError, NumericError, ParameterError
@@ -123,17 +124,26 @@ class TestFailurePaths:
         assert len(trace.times) >= 1
         assert trace.times[0] == 0.0
 
-    def test_failed_solve_attaches_partial_trace(self, ops2):
-        # a weakly anti-diffusive operator blows the first step up to
-        # non-finite values inside the solve, before the energy guard
-        bad = dataclasses.replace(ops2, stiffness=-1e-5 * ops2.stiffness)
+    def test_failed_solve_attaches_partial_trace(self, ops2, monkeypatch):
+        # the fourth step's solve returns NaN: the run stops with the
+        # three accepted steps before it attached
+        spsolve = spla.spsolve
+        calls = []
+
+        def failing_later(matrix, rhs, **options):
+            calls.append(matrix)
+            if len(calls) > 3:
+                return np.full(np.shape(rhs), np.nan)
+            return spsolve(matrix, rhs, **options)
+
+        monkeypatch.setattr(spla, "spsolve", failing_later)
         u0 = L.random_band_field(ops2.mesh, 0, 8, 0.5)
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(NumericError, match="non-finite") as info:
-                run_flow(bad, u0, 10.0)
+        with pytest.raises(NumericError, match="non-finite") as info:
+            run_flow(ops2, u0, 10.0)
         trace = info.value.trace
         assert isinstance(trace, FlowTrace)
         assert trace.times[0] == 0.0
+        assert len(trace.times) == 4
 
     @pytest.mark.parametrize("t_end", [0.0, -1.0, np.nan])
     def test_bad_t_end(self, ops3, t_end):

@@ -56,6 +56,15 @@ class TestLocalBound:
         margin = np.log(np.pi) + 1.0 + dirichlet / (16.0 * np.pi) - np.log(exp_int)
         assert margin == rep.worst_margin
 
+    def test_margin_does_not_depend_on_r(self):
+        # u(rho) = U(rho / r): every radius gives the unit disk's margins,
+        # also where pi r^2 underflows or overflows.
+        unit = check_local_mt(1.0, 3, 0, grid_n=256).sample_margins
+        for r in (1e-200, 1e-100, 1e-3, 7.0, 1e100, 1e200):
+            rep = check_local_mt(r, 3, 0, grid_n=256)
+            assert rep.sample_margins == unit
+            assert rep.parameters["r"] == r
+
     def test_epsilon_widens_margin(self):
         base = check_local_mt(1.0, 20, 3).worst_margin
         sharp = check_local_mt(1.0, 20, 3, epsilon=0.2).worst_margin
@@ -344,6 +353,24 @@ class TestExpIntegrability:
         wide = brezis_merle_check(1.0, 6.0, 12, 3).parameters["max_integral"]
         tight = brezis_merle_check(1.0, 1.0, 12, 3).parameters["max_integral"]
         assert tight > wide
+
+    def test_margins_scale_with_r_squared(self):
+        # Every source is F(rho / r), so each integral is r^2 times the unit
+        # disk's; the margins, guard and largest integral scale exactly.
+        unit = brezis_merle_check(1.0, np.pi, 6, 0, grid_n=256)
+        for r in (1e-150, 1e-3, 7.0, 1e153):
+            rep = brezis_merle_check(r, np.pi, 6, 0, grid_n=256)
+            scale = r * r
+            assert rep.sample_margins == [(s, m * scale) for s, m in unit.sample_margins]
+            for key in ("guard", "max_integral"):
+                assert rep.parameters[key] == unit.parameters[key] * scale
+
+    @pytest.mark.parametrize("r", [1e-160, 1e200])
+    def test_radius_beyond_the_float_range_is_refused(self, r):
+        # pi r^2 is subnormal at 1e-160, where the scaled margins would
+        # lose their digits silently, and overflows at 1e200
+        with pytest.raises(ParameterError, match="out of range"):
+            brezis_merle_check(r, np.pi, 3, 0, grid_n=256)
 
     @pytest.mark.parametrize(
         "kwargs",

@@ -79,6 +79,23 @@ def test_topology_validation_rejects_broken_meshes():
 
 
 @pytest.mark.parametrize(
+    ("text", "message"),
+    [
+        ("OFF\n0 0 0\n", "no faces"),
+        ("OFF\n0 1 0\n3 0 1 2\n", "face indices out of range"),
+        # V - E + F = 2 - 0 + 0: the Euler check alone would pass it
+        ("OFF\n2 0 0\n1 0 0\n-1 0 0\n", "no faces"),
+    ],
+    ids=["empty", "faces-without-vertices", "two-vertices"],
+)
+def test_meshes_without_faces_or_vertices_refused(tmp_path, text, message):
+    path = tmp_path / "mesh.off"
+    path.write_text(text)
+    with pytest.raises(DataError, match=message):
+        read_off_mesh(path)
+
+
+@pytest.mark.parametrize(
     "cast",
     [lambda f: f + 0.4, lambda f: f.astype(np.float64), lambda f: f > 0],
     ids=["fractional", "integral-float", "bool"],
