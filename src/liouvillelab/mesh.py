@@ -214,12 +214,13 @@ def _solve(matrix, rhs, what: str, mesh: TriangulatedSphere | None = None) -> np
     return _finite_solution(_unpermuted(solution, order), what)
 
 
-def _factor(matrix, what: str, mesh: TriangulatedSphere | None = None):
+def _factor(matrix, what: str, mesh: TriangulatedSphere | None = None, order=None):
     """LU factor for repeated solves; returns ``solve(rhs)``.
 
-    Ordered, pivoted, permuted back and checked as in _solve.
+    Ordered, pivoted, permuted back and checked as in _solve; without a
+    mesh, a given vertex ``order`` replaces the identity order.
     """
-    matrix, order = _permuted(matrix, mesh)
+    matrix, order = _permuted(matrix, mesh, order)
     try:
         lu = spla.splu(matrix, permc_spec="NATURAL")
     except RuntimeError as exc:
@@ -236,6 +237,10 @@ _MG_OMEGA = 0.7  # damped Jacobi weight
 _MG_SWEEPS = 2  # Jacobi sweeps before and after each coarse correction
 _MG_TOLERANCE = 1e-13  # relative residual at which conjugate gradients stop
 _MG_MAX_ITERATIONS = 100
+# MINRES's stop, relative in the preconditioned norm: 18-21 iterations per
+# minimizer Newton step at levels 5 and 6, where the bench sweep keeps every
+# step and Newton count of a direct solve, with energies within 2.2e-16.
+_MINRES_TOLERANCE = 1e-10
 
 
 def _v_cycle(matrix, what: str, mesh: TriangulatedSphere):
@@ -247,7 +252,8 @@ def _v_cycle(matrix, what: str, mesh: TriangulatedSphere):
     gives a midpoint half of each end of its parent edge; the coarse
     matrices are the Galerkin products P^T A P; _MG_SWEEPS damped-Jacobi
     sweeps run before and after each coarse correction; the coarsest
-    matrix is factored by _factor in the identity order.  A mesh with no
+    matrix is factored by _factor in the nested-dissection order of its own
+    graph (:func:`_dissection` on its vertices' positions).  A mesh with no
     level to sweep (levels 0-3, OFF meshes) gets the coarsest solve alone,
     the exact LU by _factor in the mesh order.  The sweeps after mirror
     the sweeps before, so the cycle is symmetric, and it is positive
@@ -265,7 +271,10 @@ def _v_cycle(matrix, what: str, mesh: TriangulatedSphere):
         level = (prolongation.T @ level @ prolongation).tocsr()
     if not levels:
         return _factor(matrix, what, mesh)
-    coarsest = _factor(level, what)
+    # The coarsest level keeps the first vertices' numbering: order its own
+    # graph by their positions.
+    order = _dissection(mesh.vertices[: level.shape[0]], level.indptr, level.indices)
+    coarsest = _factor(level, what, order=order)
 
     def _cycle(rhs, depth=0):
         if depth == len(levels):
@@ -299,16 +308,41 @@ def _multigrid(matrix, what: str, mesh: TriangulatedSphere):
             fine, rhs, rtol=_MG_TOLERANCE, atol=0.0, maxiter=_MG_MAX_ITERATIONS,
             M=spla.LinearOperator(fine.shape, matvec=cycle),
         )
-        _finite_solution(x, what)  # first: CG runs a NaN to its cap
-        if info > 0:
-            residual = np.linalg.norm(rhs - fine @ x) / np.linalg.norm(rhs)
-            raise NumericError(
-                f"{what} did not converge: relative residual {residual:.3g} "
-                f"after {info} iterations"
-            )
-        return x
+        return _converged(fine, rhs, x, info, what)
 
     return _solve_iteratively
+
+
+def _minres(matrix, rhs, cycle, what: str) -> np.ndarray:
+    """Solution of a symmetric, possibly indefinite vertex system.
+
+    SciPy's MINRES, preconditioned by ``cycle``, a symmetric positive
+    definite map such as a :func:`_v_cycle`, stopped at _MINRES_TOLERANCE
+    in the preconditioned norm or after _MG_MAX_ITERATIONS.  Every failure
+    is a NumericError naming ``what``; the iteration cap's gives the
+    residual.
+    """
+    try:
+        x, info = spla.minres(
+            matrix, rhs, rtol=_MINRES_TOLERANCE, maxiter=_MG_MAX_ITERATIONS,
+            M=spla.LinearOperator(matrix.shape, matvec=cycle),
+        )
+    except ValueError as exc:  # MINRES's test of symmetry and definiteness
+        raise NumericError(f"{what} failed: {exc}") from exc
+    return _converged(matrix, rhs, x, info, what)
+
+
+def _converged(matrix, rhs, x, info, what):
+    # A Krylov solver's result, checked: finite first, since a NaN runs to
+    # the cap, then converged (info 0).
+    _finite_solution(x, what)
+    if info != 0:
+        residual = np.linalg.norm(rhs - matrix @ x) / np.linalg.norm(rhs)
+        raise NumericError(
+            f"{what} did not converge: relative residual {residual:.3g} "
+            f"after {info} iterations"
+        )
+    return x
 
 
 def _prolongation(edges, coarse):
@@ -326,12 +360,13 @@ def _prolongation(edges, coarse):
     )
 
 
-def _permuted(matrix, mesh):
-    # (P A P^T in CSC, the order): the mesh's vertex order, or the
-    # identity order without a mesh.
-    if mesh is None:
+def _permuted(matrix, mesh, order=None):
+    # (P A P^T in CSC, the order): the mesh's vertex order, else the given
+    # order, else the identity order.
+    if mesh is not None:
+        order = _ordering(mesh)
+    if order is None:
         return matrix.tocsc(), np.arange(matrix.shape[0])
-    order = _ordering(mesh)
     return matrix.tocsr()[order][:, order].tocsc(), order
 
 
@@ -342,23 +377,32 @@ def _unpermuted(solution, order):
 
 
 def _ordering(mesh: TriangulatedSphere) -> np.ndarray:
-    """Nested-dissection vertex order of the mesh graph, cached per geometry.
+    """Nested-dissection vertex order of the mesh graph, cached per geometry;
+    see :func:`_dissection`."""
+    record = mesh._geometry
+    if record.order is None:
+        # Adjacency lists, flat: the mesh is closed and oriented, so its
+        # directed edges list each edge both ways.
+        tails, heads = mesh._directed_edges()
+        degrees = np.bincount(tails, minlength=mesh.num_vertices)
+        rows = np.concatenate([[0], np.cumsum(degrees)])
+        order = _dissection(mesh.vertices, rows, heads[np.argsort(tails, kind="stable")])
+        order.flags.writeable = False
+        record.order = order
+    return record.order
+
+
+def _dissection(positions, rows, neighbours) -> np.ndarray:
+    """Nested-dissection order of a graph whose vertex i sits at
+    ``positions[i]`` and has the neighbours ``neighbours[rows[i]:rows[i + 1]]``.
 
     Recursive coordinate bisection: split a part at the median of its
     widest coordinate; the separator is the lower-half vertices with a
     neighbour in the upper half.  The order is the lower half, the upper
     half, then the separator, down to parts of _LEAF_SIZE vertices.
     """
-    record = mesh._geometry
-    if record.order is not None:
-        return record.order
-    n = mesh.num_vertices
-    # Adjacency lists, flat: the mesh is closed and oriented, so its
-    # directed edges list each edge both ways.
-    tails, heads = mesh._directed_edges()
-    neighbours = heads[np.argsort(tails, kind="stable")]
-    degrees = np.bincount(tails, minlength=n)
-    starts = np.cumsum(degrees) - degrees
+    n = len(positions)
+    starts, degrees = rows[:-1], np.diff(rows)
     upper = np.zeros(n, dtype=bool)
     parts = []
 
@@ -366,7 +410,7 @@ def _ordering(mesh: TriangulatedSphere) -> np.ndarray:
         if len(part) <= _LEAF_SIZE:
             parts.append(part)
             return
-        coords = mesh.vertices[part]
+        coords = positions[part]
         axis = np.argmax(coords.max(axis=0) - coords.min(axis=0))
         part = part[np.argsort(coords[:, axis], kind="stable")]
         lower, higher = np.split(part, [len(part) // 2])
@@ -382,10 +426,7 @@ def _ordering(mesh: TriangulatedSphere) -> np.ndarray:
         parts.append(lower[touches])
 
     dissect(np.arange(n))
-    order = np.concatenate(parts)
-    order.flags.writeable = False
-    record.order = order
-    return order
+    return np.concatenate(parts)
 
 
 def _finite_solution(solution, what):

@@ -17,8 +17,9 @@ from .energy import (
     perturbed_functional,
     perturbed_gradient,
 )
-from .errors import ConvergenceError, NumericError, ResolutionError, _count, _field, _real
-from .mesh import DiscreteOperators, ScalarField, _solve, _v_cycle
+from .errors import ConvergenceError, NumericError, ParameterError, ResolutionError
+from .errors import _count, _field, _real
+from .mesh import DiscreteOperators, ScalarField, _minres, _solve, _v_cycle
 
 _STEP_FLOOR = 2.0**-30
 _DISK_MAX_JUMP = np.log(2.0) / 2.0  # exp(2 v0) may at most double across a disk cell
@@ -90,13 +91,14 @@ def project_constraint(ops: DiscreteOperators, u: np.ndarray) -> ScalarField:
     return u - float((ops.curvature * u) @ ops.mass) / total
 
 
-def _newton_direction(ops, epsilon, u, grad):
+def _newton_direction(ops, epsilon, u, grad, precond):
     # Newton step of the Euler-Lagrange equation at v = u - log_volume(u),
-    # where its residual is grad; None when the solve fails.
+    # where its residual is grad, by MINRES on the symmetric indefinite
+    # Jacobian, preconditioned by the H1 cycle; None when the solve fails.
     v = u - log_volume(ops, u)
     jac = ops.stiffness - _exp_operator(ops, v, EIGHT_PI - epsilon)
     try:
-        return _solve(jac, -(grad * ops.mass), "minimizer Newton step", ops.mesh)
+        return _minres(jac, -(grad * ops.mass), precond, "minimizer Newton step")
     except NumericError:
         return None
 
@@ -116,7 +118,10 @@ def minimize_perturbed(
     is H1 gradient descent with Armijo backtracking, preconditioned by one
     multigrid V-cycle of stiffness plus mass, which on a mesh with no
     recorded level above 642 vertices is its exact LU (symmetric positive
-    definite either way, so the direction descends).  Trial points are
+    definite either way, so the direction descends).  The Jacobian is
+    symmetric but indefinite; the Newton system is solved by MINRES with
+    that same cycle as preconditioner, and a MINRES failure rejects the
+    try like a failed line search.  Trial points are
     projected onto the hyperplane; max_iterations caps all steps, and the
     trace's energies never rise.  Raises ConvergenceError with the best
     iterate attached if the gradient norm misses the tolerance when the
@@ -145,7 +150,8 @@ def minimize_perturbed(
             break
         for newton in (True, False) if iteration > rejected + _H1_STEPS else (False,):
             if newton:
-                direction, step = _newton_direction(ops, config.epsilon, u, grad), 1.0
+                direction = _newton_direction(ops, config.epsilon, u, grad, precond)
+                step = 1.0
             else:
                 direction = -precond(grad * ops.mass)
                 step = min(h1_step * 2.0, 16.0)
@@ -258,9 +264,19 @@ class DiskMinimum:
 
 
 def _disk_ratio(a: float, b: float, r: float) -> float:
-    """t = a exp(-2b) / (pi r^2), the disk problem's one parameter; finite, > 0."""
+    """t = a exp(-2b) / (pi r^2), the disk problem's one parameter; finite, > 0.
+
+    a and pi r^2 must be normal positive floats: a subnormal one has lost
+    the digits that t would carry, so t comes out wrong with no error.
+    """
+    area = np.pi * r * r
+    for name, value in (("a", a), ("pi r^2", area)):
+        if not np.finfo(float).tiny <= value < np.inf:
+            raise ParameterError(
+                f"t = a exp(-2b) / (pi r^2) needs a normal positive {name}, got {value:g}"
+            )
     with np.errstate(all="ignore"):
-        t = a * np.exp(-2.0 * b) / (np.pi * r * r)
+        t = a * np.exp(-2.0 * b) / area
     return _real("t = a exp(-2b) / (pi r^2)", float(t), 0.0)
 
 

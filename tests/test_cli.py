@@ -676,6 +676,19 @@ class TestExitCodes:
         assert len(lines) == 1
         assert lines[0].startswith("ParameterError in ")
 
+    def test_subnormal_disk_area_stderr_is_one_typed_line(self, tmp_path):
+        # pi r^2 is subnormal at r = 1e-160, so is each disk gap's a: the
+        # first gap refuses it rather than run at a t that lost its digits.
+        proc = run_module(
+            ["inequalities", "--level", 2, "--samples", 3, "--r", "1e-160", "--out", tmp_path]
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith(
+            "ParameterError in solver.disk_min_dirichlet: t = a exp(-2b) / (pi r^2) "
+            "needs a normal positive a, got "
+        )
+        assert len(proc.stderr.splitlines()) == 1
+
     def test_coarse_band_field_stderr_is_one_typed_line(self, tmp_path):
         # 24 bands need the l = 4 block, which a level-1 mesh cannot resolve.
         proc = run_module(

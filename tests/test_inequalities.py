@@ -137,6 +137,20 @@ class TestDiskGap:
         # integer b and r are the same inputs as their float values
         assert disk_floor_gap(2.0 * np.pi, 0, 1) == rep1
 
+    @pytest.mark.parametrize(
+        "a, r, name",
+        [
+            (2.0 * np.pi * 1e-160**2, 1e-160, "a"),  # t = 2 read back as 1.99984
+            (1e-310, 1.0, "a"),
+            (1e-300, 1e-160, "pi r\\^2"),
+        ],
+        ids=["both", "a", "area"],
+    )
+    def test_subnormal_input_is_refused(self, a, r, name):
+        # A subnormal a or pi r^2 has lost the digits t would carry.
+        with pytest.raises(ParameterError, match=f"needs a normal positive {name},"):
+            disk_floor_gap(a, 0.0, r)
+
 
 class TestGlobalBound:
     def test_round_supremum(self, ops3):

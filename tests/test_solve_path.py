@@ -1,10 +1,11 @@
 """Every sparse factor and solve goes through mesh._solve or mesh._factor,
 every eigensolve through mesh._lowest_modes, every iterative solve through
-mesh._multigrid, and every way such a solve can fail comes out as one
-NumericError."""
+mesh._multigrid or mesh._minres, and every way such a solve can fail comes
+out as one NumericError."""
 
 import ast
 import dataclasses
+import functools
 import warnings
 from pathlib import Path
 
@@ -17,10 +18,12 @@ import liouvillelab as L
 from liouvillelab.errors import NumericError
 from liouvillelab import mesh as mesh_module
 from liouvillelab import solver as solver_module
+from liouvillelab.energy import EIGHT_PI, _exp_operator
 from liouvillelab.mesh import _factor, _multigrid, _ordering, _solve, _v_cycle
+from liouvillelab.solver import _newton_direction
 
 SRC = Path(L.__file__).parent
-SOLVERS = {"spsolve", "splu", "eigsh", "cg"}
+SOLVERS = {"spsolve", "splu", "eigsh", "cg", "minres"}
 
 
 def _failing(kind):
@@ -127,22 +130,47 @@ NEWTON_SITES = {
 }
 
 
+def _patch_minres(monkeypatch, kind):
+    # Every MINRES solve fails: it raises as SciPy's symmetry test does,
+    # returns NaN, or stops at a cap of one iteration.  Returns the matrices
+    # passed in.
+    minres, calls = spla.minres, []
+    if kind == "cap":
+        monkeypatch.setattr(mesh_module, "_MG_MAX_ITERATIONS", 1)
+
+    def failing(matrix, rhs, **options):
+        calls.append(matrix)
+        if kind == "raise":
+            raise ValueError("non-symmetric matrix")
+        if kind == "nan":
+            return np.full(np.shape(rhs), np.nan), 0
+        return minres(matrix, rhs, **options)
+
+    monkeypatch.setattr(spla, "minres", failing)
+    return calls
+
+
 @pytest.mark.parametrize(
     "site, kind",
     [
         ("minimizer_newton", "raise"),
         ("minimizer_newton", "nan"),
+        ("minimizer_newton", "cap"),
         ("mean_field_newton", "raise"),
         ("mean_field_newton", "nan"),
+        ("mean_field_newton", "cap"),
     ],
-    ids=["raise", "nan", "mean_field_newton-raise", "mean_field_newton-nan"],
+    ids=[
+        "raise", "nan", "cap",
+        "mean_field_newton-raise", "mean_field_newton-nan", "mean_field_newton-cap",
+    ],
 )
 def test_failed_minimizer_newton_solve_falls_back_to_h1(ops2, monkeypatch, site, kind):
     # A failed Newton solve only rejects that direction, and every step
     # becomes an H1 step.  H1 alone crawls along the conformal modes, so the
     # budget runs out: ConvergenceError, never a NumericError naming the
     # Newton system.  solve_mean_field runs the same loop.
-    calls = _patch_spsolve(monkeypatch, kind)
+    calls = _patch_minres(monkeypatch, kind)
     with pytest.raises(L.ConvergenceError) as info:
         NEWTON_SITES[site](ops2)
     assert len(calls) > 1  # Newton was retried after the failure
@@ -269,17 +297,27 @@ def test_green_on_an_off_copy_matches_the_icosphere(band4_pair, pole):
     assert copied.A_value == pytest.approx(built.A_value, rel=1e-12)
 
 
+@functools.cache
+def _background_ops(level, background):
+    # The round icosphere, or the bench's band background on it.
+    mesh = L.build_icosphere(level)
+    if background == "band":
+        phi = L.random_band_field(mesh, 7, 8, 0.3)
+        mesh = L.set_conformal_background(mesh, phi, normalize=True)
+    return L.assemble_operators(mesh)
+
+
+def _h1_cycle(ops):
+    return _v_cycle(ops.stiffness + sp.diags(ops.mass), "H1 preconditioner", ops.mesh)
+
+
 @pytest.mark.parametrize("background", ["round", "band"])
 @pytest.mark.parametrize("level", [4, 5])
 def test_h1_cycle_is_symmetric_and_positive(level, background):
     # The minimizer's H1 direction is -cycle(grad * mass); it descends
     # because one V-cycle of S + M is a symmetric positive definite map.
-    mesh = L.build_icosphere(level)
-    if background == "band":
-        phi = L.random_band_field(mesh, 7, 8, 0.3)
-        mesh = L.set_conformal_background(mesh, phi, normalize=True)
-    ops = L.assemble_operators(mesh)
-    cycle = _v_cycle(ops.stiffness + sp.diags(ops.mass), "H1 preconditioner", mesh)
+    ops = _background_ops(level, background)
+    mesh, cycle = ops.mesh, _h1_cycle(ops)
     rng = np.random.default_rng(level)
     for _ in range(4):
         x, y = rng.standard_normal((2, mesh.num_vertices))
@@ -289,13 +327,69 @@ def test_h1_cycle_is_symmetric_and_positive(level, background):
         assert x @ cx > 0.0 and y @ cy > 0.0
 
 
+def _identity_order(positions, rows, neighbours):
+    return np.arange(len(positions))
+
+
+def test_coarsest_level_is_factored_in_its_own_dissection_order(monkeypatch):
+    # The level-5 S + M hierarchy: its 642-row coarsest LU keeps 35,420
+    # entries in the dissection order of its graph, 134,978 in the identity
+    # order.
+    ops = L.assemble_operators(L.build_icosphere(5))
+    splu, kept = spla.splu, []
+
+    def recording(matrix, **options):
+        lu = splu(matrix, **options)
+        kept.append((matrix.shape[0], lu.nnz))
+        return lu
+
+    monkeypatch.setattr(spla, "splu", recording)
+    _h1_cycle(ops)
+    monkeypatch.setattr(mesh_module, "_dissection", _identity_order)
+    _h1_cycle(ops)
+    (size, dissected), (_, identity) = kept
+    assert size == 642
+    assert dissected < 0.5 * identity
+
+
+@pytest.mark.parametrize("background", ["round", "band"])
+@pytest.mark.parametrize("level", [4, 5])
+def test_coarsest_order_moves_the_cycle_by_roundoff(monkeypatch, level, background):
+    # The same cycle with its coarsest level solved in the identity order.
+    ops = _background_ops(level, background)
+    cycle = _h1_cycle(ops)
+    monkeypatch.setattr(mesh_module, "_dissection", _identity_order)
+    reference = _h1_cycle(ops)
+    rng = np.random.default_rng(level)
+    for x in rng.standard_normal((4, ops.mesh.num_vertices)):
+        expected = reference(x)
+        assert np.linalg.norm(cycle(x) - expected) <= 1e-12 * np.linalg.norm(expected)
+
+
+@pytest.mark.parametrize("epsilon", [0.5, 0.1, 0.01])
+@pytest.mark.parametrize("background", ["round", "band"])
+@pytest.mark.parametrize("level", [3, 4, 5])
+def test_minres_newton_direction_matches_the_direct_solve(level, background, epsilon):
+    # MINRES on the H1 cycle against the LU of the same Jacobian, at a band
+    # field away from the minimizer; measured <= 1.5e-9 relative.
+    ops = _background_ops(level, background)
+    u = L.project_constraint(ops, _band(ops))
+    grad = L.perturbed_gradient(ops, u, epsilon)
+    v = u - L.log_volume(ops, u)
+    jac = ops.stiffness - _exp_operator(ops, v, EIGHT_PI - epsilon)
+    expected = _solve(jac, -(grad * ops.mass), "test system", ops.mesh)
+    direction = _newton_direction(ops, epsilon, u, grad, _h1_cycle(ops))
+    assert np.linalg.norm(direction - expected) <= 1e-8 * np.linalg.norm(expected)
+
+
 def test_minimizer_factors_only_the_coarsest_level(monkeypatch):
     # A fresh level-5 mesh: the H1 steps run V-cycles, whose one LU is the
-    # 642-row coarsest level; SciPy's spsolve sees only the Newton systems.
+    # 642-row coarsest level; the Newton systems go to MINRES on the same
+    # cycle, so SciPy's spsolve sees no matrix.
     ops = L.assemble_operators(L.build_icosphere(5))
     start = _band(ops)  # its eigensolve factors the fine mesh, before recording
-    factored, solved, newton = [], [], []
-    for name, sizes in (("splu", factored), ("spsolve", solved)):
+    factored, solved, iterated, newton = [], [], [], []
+    for name, sizes in (("splu", factored), ("spsolve", solved), ("minres", iterated)):
         solver = getattr(spla, name)
 
         def recording(matrix, *args, solver=solver, sizes=sizes, **options):
@@ -313,7 +407,8 @@ def test_minimizer_factors_only_the_coarsest_level(monkeypatch):
     result = L.minimize_perturbed(ops, L.SolverConfig(epsilon=0.5), start)
     assert factored == [642]
     assert result.polish_steps > 0
-    assert solved == [ops.mesh.num_vertices] * len(newton)
+    assert solved == []
+    assert iterated == [ops.mesh.num_vertices] * len(newton)
 
 
 @pytest.mark.parametrize("kind", ["raise", "nan"])
@@ -351,13 +446,10 @@ def _handed(monkeypatch, solver, entry, ops):
     return handed[0]
 
 
-# site -> (SciPy routine, call of the public entry that reaches it first);
-# the minimizer reaches its Newton spsolve after its preconditioner's splu.
+# site -> (SciPy routine, call of the public entry that reaches it first)
 MESH_SITES = {
     "flow": ("spsolve", SITES["flow"][1]),
     "green": ("splu", SITES["green"][1]),
-    "mean_field_newton": ("spsolve", NEWTON_SITES["mean_field_newton"]),
-    "minimizer_newton": ("spsolve", SITES["minimizer_preconditioner"][1]),
     "minimizer_preconditioner": ("splu", SITES["minimizer_preconditioner"][1]),
     "ascent_metric": ("splu", SITES["ascent_metric"][1]),
     "round_eigensolve": ("splu", SITES["round_eigensolve"][1]),
@@ -408,12 +500,13 @@ def test_sparse_solvers_are_called_only_in_the_helpers():
     assert sorted(_sparse_solver_uses()) == [
         ("mesh", "_factor", "splu"),
         ("mesh", "_lowest_modes", "eigsh"),
+        ("mesh", "_minres", "minres"),
         ("mesh", "_multigrid", "cg"),
         ("mesh", "_solve", "spsolve"),
     ]
 
 
-SOLVE_HELPERS = {"_solve", "_factor", "_v_cycle", "_multigrid", "_lowest_modes"}
+SOLVE_HELPERS = {"_solve", "_factor", "_v_cycle", "_multigrid", "_minres", "_lowest_modes"}
 
 
 def _solve_helper_imports():
@@ -435,7 +528,7 @@ def test_each_module_imports_only_its_solve_helpers():
         "flow": {"_solve"},
         "green": {"_multigrid"},
         "inequalities": {"_factor", "_lowest_modes"},
-        "solver": {"_solve", "_v_cycle"},
+        "solver": {"_minres", "_solve", "_v_cycle"},
     }
 
 
