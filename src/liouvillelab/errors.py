@@ -22,6 +22,11 @@ class ParameterError(LabError):
     """A caller-supplied parameter is out of its documented range."""
 
 
+# The largest radial grid or quadrature size the 1D routines accept; a
+# larger one is refused here, not by numpy's allocator with a traceback.
+_MAX_GRID = 2**20
+
+
 def _count(name: str, value, low: int, high: int | None = None) -> int:
     """value as an int in [low, high]; bools, floats and other types are
     refused rather than truncated."""

@@ -31,7 +31,8 @@ import scipy.sparse as sp
 from scipy.integrate import IntegrationWarning, quad
 
 from .energy import EIGHT_PI
-from .errors import DataError, NumericError, ResolutionError, _count, _field, _real
+from .errors import _MAX_GRID, DataError, NumericError, ResolutionError
+from .errors import _count, _field, _real
 from .mesh import (
     FOUR_PI,
     DiscreteOperators,
@@ -105,7 +106,7 @@ def solve_green(ops: DiscreteOperators, pole: int) -> GreenResult:
     vertices = ops.mesh.vertices
     pin = int(np.argmin(vertices[:12] @ vertices[pole]))
     pinned = ops.stiffness + sp.csr_matrix(([1.0], ([pin], [pin])), shape=(n, n))
-    solution = _multigrid(pinned, "Green system", ops.mesh)(rhs)
+    solution = _multigrid(pinned, rhs, "Green system", ops.mesh)
     g_field = solution - (solution @ ops.mass) / ops.total_area
     distances, exact = _geodesic(ops, pole, _ANNULUS_OUTER * ops.mean_edge_length)
     result = GreenResult(
@@ -200,7 +201,7 @@ def bubble_checks(R: float, quadrature_n: int = 2001) -> BubbleReport:
     carries their text on its one line.
     """
     R = _real("R", R, 0.0)
-    quadrature_n = _count("quadrature_n", quadrature_n, 16)
+    quadrature_n = _count("quadrature_n", quadrature_n, 16, _MAX_GRID)
     exact_mass = bubble_mass_closed_form(R)
     exact_dirichlet = bubble_dirichlet_closed_form(R)
     if not np.isfinite([exact_mass, exact_dirichlet]).all():

@@ -19,7 +19,7 @@ import scipy.sparse as sp
 from scipy.integrate import cumulative_trapezoid, simpson
 
 from .energy import _exp_density, _exp_operator, _exp_weights, log_volume, onofri_deficit
-from .errors import NumericError, ParameterError, _count, _real
+from .errors import _MAX_GRID, NumericError, ParameterError, _count, _real
 from .mesh import (
     FOUR_PI,
     DiscreteOperators,
@@ -96,14 +96,15 @@ def _sampled_report(name, samples, seed, margin_of, parameters):
     )
 
 
-def _radial_disk_field(rng, r, grid, modes, amplitude_scale):
-    # Zero-boundary radial band: cos((k - 1/2) pi rho / r) vanishes at r.
+def _radial_disk_field(rng, grid, modes, amplitude_scale):
+    # Zero-boundary radial band on the unit disk: cos((k - 1/2) pi rho)
+    # vanishes at rho = 1.
     coeffs = rng.standard_normal(modes)
     amp = rng.uniform(0.2, 2.0) * amplitude_scale
     k = np.arange(1, modes + 1) - 0.5
-    phases = np.pi * np.outer(grid / r, k)
+    phases = np.pi * np.outer(grid, k)
     u = amp * (np.cos(phases) @ coeffs)
-    du = -amp * (np.sin(phases) @ (coeffs * k * np.pi / r))
+    du = -amp * (np.sin(phases) @ (coeffs * k * np.pi))
     return u, du
 
 
@@ -134,13 +135,13 @@ def check_local_mt(
     amplitude_scale = _real("amplitude_scale", amplitude_scale)
     modes = _count("modes", modes, 1)
     # 0 or 1 cells gave +inf margins; disk_min_dirichlet's floor
-    grid_n = _count("grid_n", grid_n, 256)
+    grid_n = _count("grid_n", grid_n, 256, _MAX_GRID)
     grid = np.linspace(0.0, 1.0, grid_n + 1)
     bound_const = np.log(np.pi) + 1.0
     coeff = 1.0 / SIXTEEN_PI + epsilon
 
     def margin_of(i, s_i, rng):
-        u, du = _radial_disk_field(rng, 1.0, grid, modes, amplitude_scale)
+        u, du = _radial_disk_field(rng, grid, modes, amplitude_scale)
         dirichlet = 2.0 * np.pi * simpson(du * du * grid, x=grid)
         exp_int = 2.0 * np.pi * simpson(np.exp(u) * grid, x=grid)
         return bound_const + coeff * dirichlet - np.log(exp_int)
@@ -490,7 +491,7 @@ def brezis_merle_check(
     r = _real("r", r, 0.0)
     delta = _real("delta", delta, 0.0, FOUR_PI)
     samples = _count("samples", samples, 1)
-    grid_n = _count("grid_n", grid_n, 256)
+    grid_n = _count("grid_n", grid_n, 256, _MAX_GRID)
     grid = np.linspace(0.0, 1.0, grid_n + 1)
     h = 1.0 / grid_n
     widths = np.geomspace(0.5, 4.0 * h, num=max(8, min(64, samples)))
@@ -513,7 +514,7 @@ def brezis_merle_check(
                 -(grid**2) / (2.0 * sigma * sigma)
             )
         elif kind == 1:
-            f_values, _ = _radial_disk_field(rng, 1.0, grid, 6, 1.0)
+            f_values, _ = _radial_disk_field(rng, grid, 6, 1.0)
         else:
             s1, s2 = rng.choice(widths, size=2, replace=False)
             f_values = np.exp(-(grid**2) / (2 * s1 * s1)) - rng.uniform(

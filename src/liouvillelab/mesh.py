@@ -191,18 +191,18 @@ _RANK_MODULE = re.escape(__name__) + r"\Z"
 _RANK_FILTER = ("error", None, spla.MatrixRankWarning, re.compile(_RANK_MODULE), 0)
 
 
-def _solve(matrix, rhs, what: str, mesh: TriangulatedSphere | None = None) -> np.ndarray:
-    """One-shot sparse solve; any failure is a NumericError naming ``what``.
+def _solve(matrix, rhs, what: str, mesh: TriangulatedSphere) -> np.ndarray:
+    """One-shot sparse solve of a mesh system, left to the flow step; any
+    failure is a NumericError naming ``what``.
 
-    With a mesh, the matrix is factored as P A P^T in the mesh's
-    nested-dissection order and the solution is permuted back; without
-    one, in the order given.  Either way SuperLU takes the columns in that
-    order (``permc_spec="NATURAL"``) and keeps its partial row pivoting, so
-    indefinite systems still get a pivoted LU: a poor order costs fill and
-    time, not accuracy.  Failures cover SuperLU's RuntimeError, SciPy's
-    MatrixRankWarning and a non-finite solution.  SciPy is called through
-    ``spla`` attributes, so wrappers installed on scipy.sparse.linalg see
-    every call.
+    The matrix is factored as P A P^T in the mesh's nested-dissection
+    order and the solution is permuted back.  SuperLU takes the columns in
+    that order (``permc_spec="NATURAL"``) and keeps its partial row
+    pivoting, so indefinite systems still get a pivoted LU: a poor order
+    costs fill and time, not accuracy.  Failures cover SuperLU's
+    RuntimeError, SciPy's MatrixRankWarning and a non-finite solution.
+    SciPy is called through ``spla`` attributes, so wrappers installed on
+    scipy.sparse.linalg see every call.
     """
     if _RANK_FILTER not in warnings.filters:
         warnings.filterwarnings("error", "", spla.MatrixRankWarning, _RANK_MODULE)
@@ -218,7 +218,7 @@ def _factor(matrix, what: str, mesh: TriangulatedSphere | None = None, order=Non
     """LU factor for repeated solves; returns ``solve(rhs)``.
 
     Ordered, pivoted, permuted back and checked as in _solve; without a
-    mesh, a given vertex ``order`` replaces the identity order.
+    mesh, a given vertex ``order``, else the identity order (the disk).
     """
     matrix, order = _permuted(matrix, mesh, order)
     try:
@@ -232,7 +232,7 @@ def _factor(matrix, what: str, mesh: TriangulatedSphere | None = None, order=Non
     return _solve_factored
 
 
-_MG_COARSEST = 642  # level 3; at 2562 the identity-order LU alone takes 0.6 s
+_MG_COARSEST = 642  # level 3; 2562 rows: 0.6 s LU in the old identity order, not re-measured
 _MG_OMEGA = 0.7  # damped Jacobi weight
 _MG_SWEEPS = 2  # Jacobi sweeps before and after each coarse correction
 _MG_TOLERANCE = 1e-13  # relative residual at which conjugate gradients stop
@@ -291,8 +291,8 @@ def _v_cycle(matrix, what: str, mesh: TriangulatedSphere):
     return lambda rhs: _finite_solution(_cycle(rhs), what)
 
 
-def _multigrid(matrix, what: str, mesh: TriangulatedSphere):
-    """Solver for an SPD vertex matrix; returns ``solve(rhs)``.
+def _multigrid(matrix, rhs, what: str, mesh: TriangulatedSphere) -> np.ndarray:
+    """Solution of an SPD vertex system.
 
     SciPy's conjugate gradients, preconditioned by one :func:`_v_cycle`
     per iteration, stopped at a relative residual of _MG_TOLERANCE.  On a
@@ -301,16 +301,12 @@ def _multigrid(matrix, what: str, mesh: TriangulatedSphere):
     ``what``; the iteration cap's gives the residual.
     """
     cycle = _v_cycle(matrix, what, mesh)
-    fine = matrix.tocsr()
-
-    def _solve_iteratively(rhs):
-        x, info = spla.cg(
-            fine, rhs, rtol=_MG_TOLERANCE, atol=0.0, maxiter=_MG_MAX_ITERATIONS,
-            M=spla.LinearOperator(fine.shape, matvec=cycle),
-        )
-        return _converged(fine, rhs, x, info, what)
-
-    return _solve_iteratively
+    matrix = matrix.tocsr()
+    x, info = spla.cg(
+        matrix, rhs, rtol=_MG_TOLERANCE, atol=0.0, maxiter=_MG_MAX_ITERATIONS,
+        M=spla.LinearOperator(matrix.shape, matvec=cycle),
+    )
+    return _converged(matrix, rhs, x, info, what)
 
 
 def _minres(matrix, rhs, cycle, what: str) -> np.ndarray:
@@ -377,16 +373,13 @@ def _unpermuted(solution, order):
 
 
 def _ordering(mesh: TriangulatedSphere) -> np.ndarray:
-    """Nested-dissection vertex order of the mesh graph, cached per geometry;
-    see :func:`_dissection`."""
+    """Nested-dissection vertex order of the mesh's stiffness graph, the
+    graph of every mesh-sized factored system, cached per geometry; see
+    :func:`_dissection`."""
     record = mesh._geometry
     if record.order is None:
-        # Adjacency lists, flat: the mesh is closed and oriented, so its
-        # directed edges list each edge both ways.
-        tails, heads = mesh._directed_edges()
-        degrees = np.bincount(tails, minlength=mesh.num_vertices)
-        rows = np.concatenate([[0], np.cumsum(degrees)])
-        order = _dissection(mesh.vertices, rows, heads[np.argsort(tails, kind="stable")])
+        stiffness = _geometric_core(mesh).stiffness
+        order = _dissection(mesh.vertices, stiffness.indptr, stiffness.indices)
         order.flags.writeable = False
         record.order = order
     return record.order
@@ -700,9 +693,7 @@ def _round_eigenbasis(mesh: TriangulatedSphere, bands: int):
     (eigenvalues, basis) covering whole multiplets, at least ``bands`` wide;
     a mesh too coarse to resolve them raises ResolutionError.
     """
-    lmax = 1
-    while (lmax + 1) ** 2 - 1 < bands:
-        lmax += 1
+    lmax = max(1, math.isqrt(bands))  # the least l >= 1 with (l + 1)^2 - 1 >= bands
     record = _geometric_core(mesh)
     if record.basis is not None and record.basis[0] >= lmax:
         return record.basis[1], record.basis[2]

@@ -18,8 +18,8 @@ from .energy import (
     perturbed_gradient,
 )
 from .errors import ConvergenceError, NumericError, ParameterError, ResolutionError
-from .errors import _count, _field, _real
-from .mesh import DiscreteOperators, ScalarField, _minres, _solve, _v_cycle
+from .errors import _MAX_GRID, _count, _field, _real
+from .mesh import DiscreteOperators, ScalarField, _factor, _minres, _v_cycle
 
 _STEP_FLOOR = 2.0**-30
 _DISK_MAX_JUMP = np.log(2.0) / 2.0  # exp(2 v0) may at most double across a disk cell
@@ -280,7 +280,7 @@ def _disk_ratio(a: float, b: float, r: float) -> float:
     return _real("t = a exp(-2b) / (pi r^2)", float(t), 0.0)
 
 
-@np.errstate(over="ignore", invalid="ignore", divide="ignore")  # _solve checks the step
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")  # _factor checks the step
 def disk_min_dirichlet(a: float, b: float, r: float, grid_n: int = 4096) -> DiskMinimum:
     """Minimize int |grad w|^2 over the disk of radius r subject to
     int exp(2 w) dx = a and boundary value w = b.
@@ -291,9 +291,10 @@ def disk_min_dirichlet(a: float, b: float, r: float, grid_n: int = 4096) -> Disk
     v is P1 in rho with its Dirichlet integral and constraint exact per cell,
     so the map is exact and v is admissible in the continuum: by Rayleigh-Ritz
     the value is at least the continuum minimum, up to the Newton stop.
-    Newton with the exact Hessian starts at the continuum minimizer
-    v0 = ln t - ln(1 + (t - 1) rho^2), mu0 = 4 (t - 1) / t^2, O(h^2) from the
-    answer, takes full steps and stops at a correction below 1e-10.  A grid
+    Newton with the exact Hessian, factored once per step by _factor, starts
+    at the continuum minimizer v0 = ln t - ln(1 + (t - 1) rho^2),
+    mu0 = 4 (t - 1) / t^2, O(h^2) from the answer, takes full steps and
+    stops at a correction below 1e-10.  A grid
     on which v0 changes by more than ln 2 / 2 between neighbouring nodes
     cannot hold the profile: ResolutionError, before any solve, because
     there the value lies far above the minimum and Newton's solves can turn
@@ -302,7 +303,7 @@ def disk_min_dirichlet(a: float, b: float, r: float, grid_n: int = 4096) -> Disk
     a = _real("a", a, 0.0)
     b = _real("b", b)
     r = _real("r", r, 0.0)
-    n = _count("grid_n", grid_n, 256)
+    n = _count("grid_n", grid_n, 256, _MAX_GRID)
     t = _disk_ratio(a, b, r)
     rho = np.linspace(0.0, 1.0, n + 1)
     # 1 + (t - 1) rho^2 in a form that is exactly t at rho = 1, so v0(1) = 0.
@@ -338,9 +339,9 @@ def disk_min_dirichlet(a: float, b: float, r: float, grid_n: int = 4096) -> Disk
         hess = sp.diags([-2.0 * w[:-1], diagonal, -2.0 * w[:-1]], [-1, 0, 1])
         column = -grad_c
         # KKT system [[hess, column], [-column^T / target, 0]] by its Schur
-        # complement: one tridiagonal solve for both right-hand sides
+        # complement: one tridiagonal factor for both right-hand sides
         # keeps the border out of the pivoting.
-        y, z = _solve(hess, np.column_stack([-grad, column]), "disk Newton step").T
+        y, z = _factor(hess, "disk Newton step")(np.column_stack([-grad, column])).T
         d_mu = (column @ y - gap * target) / (column @ z)
         d_v = np.append(y - d_mu * z, 0.0)
         step = max(np.abs(d_v).max(), abs(d_mu) / max(1.0, abs(mu)))

@@ -507,6 +507,18 @@ class TestExitCodes:
         assert line.startswith("ResolutionError in solver.disk_min_dirichlet:")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["bubble", "disk", "inequalities"])
+    def test_huge_grid_is_one_typed_line(self, tmp_path, capsys, command):
+        # 1e14 nodes would be hundreds of TiB: refused by the range check,
+        # where numpy's allocator would end in a traceback.
+        out = tmp_path / "out"
+        args = [command, "--level", 1, "--samples", 3, "--grid-n", 10**14, "--out", out]
+        assert run(args) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("ParameterError in ")
+        assert "_n must be an integer in [" in line and line.endswith(str(10**14))
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", sorted(set(cli._HANDLERS) - {"sweep-eps"}))
     def test_eps_list_only_for_sweep(self, tmp_path, capsys, command):
         # Every other command would run the first value and record both.

@@ -28,12 +28,12 @@ NON_FINITE = [float("nan"), float("inf"), 1e300]
 OPTIONS = {
     "eps": (st.floats(0.01, 2.0), st.sampled_from([0.0, -0.5, 30.0, float("nan")])),
     "amp": (st.floats(-2.0, 2.0), st.sampled_from(NON_FINITE)),
-    "bands": (st.integers(1, 12), st.integers(-1, 0)),
+    "bands": (st.integers(1, 12), st.one_of(st.integers(-1, 0), st.just(10**40))),
     "seed": (st.integers(0, 2**40), st.integers(-3, -1)),
     "metric-amp": (st.floats(-0.6, 0.6), st.sampled_from(NON_FINITE)),
     "max-iter": (st.integers(1, 60), st.integers(-1, 0)),
     "tol": (st.floats(1e-13, 1e-2), st.sampled_from([0.0, -1.0, *NON_FINITE])),
-    "grid-n": (st.integers(256, 600), st.integers(-2, 255)),
+    "grid-n": (st.integers(256, 600), st.one_of(st.integers(-2, 255), st.just(10**14))),
 }
 # The disk command's own options.  A good --a is drawn as t and passed as
 # a = t pi r^2 e^{2b}.

@@ -50,7 +50,7 @@ class TestLocalBound:
         # rebuild the worst sample from its reported seed, bitwise
         grid = np.linspace(0.0, 1.0, 2049)
         rng = np.random.default_rng(rep.worst_seed)
-        u, du = _radial_disk_field(rng, 1.0, grid, 6, 1.0)
+        u, du = _radial_disk_field(rng, grid, 6, 1.0)
         dirichlet = 2.0 * np.pi * simpson(du * du * grid, x=grid)
         exp_int = 2.0 * np.pi * simpson(np.exp(u) * grid, x=grid)
         margin = np.log(np.pi) + 1.0 + dirichlet / (16.0 * np.pi) - np.log(exp_int)
@@ -428,7 +428,7 @@ class TestReportContract:
         assert isinstance(rep, InequalityReport)
 
 
-def _nan_disk_field(rng, r, grid, modes, amplitude_scale):
+def _nan_disk_field(rng, grid, modes, amplitude_scale):
     return np.full_like(grid, np.nan), np.full_like(grid, np.nan)
 
 

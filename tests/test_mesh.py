@@ -1,6 +1,7 @@
 import heapq
 import math
 import re
+import time
 import warnings
 
 import numpy as np
@@ -35,6 +36,7 @@ from liouvillelab.mesh import (
     _geometric_core,
     _icosahedron,
     _ordering,
+    _round_eigenbasis,
     _vertex_faces,
 )
 
@@ -581,6 +583,36 @@ def test_coarse_mesh_band_field_is_resolution_error(bands):
     # 4 bands fail the l = 2 eigenvalue block; 9 need more modes than exist.
     with pytest.raises(ResolutionError):
         random_band_field(build_icosphere(0), 0, bands, 0.5)
+
+
+class _Modes(Exception):
+    pass
+
+
+def test_band_count_asks_for_the_least_whole_multiplets(monkeypatch):
+    # The modes asked of the eigensolve, (lmax + 1)^2, against counting lmax
+    # up from 1 until the multiplets l = 1..lmax hold the bands.
+    def asked(stiffness, mass, k, what, mesh):
+        raise _Modes(k)
+
+    monkeypatch.setattr("liouvillelab.mesh._lowest_modes", asked)
+    mesh = build_icosphere(5)  # 10242 vertices: room for 101^2 modes
+    lmax = 1
+    for bands in range(1, 10**4 + 1):
+        while (lmax + 1) ** 2 - 1 < bands:
+            lmax += 1
+        with pytest.raises(_Modes) as info:
+            _round_eigenbasis(mesh, bands)
+        assert info.value.args[0] == (lmax + 1) ** 2
+
+
+def test_huge_band_count_is_refused_at_once():
+    # 1e16 bands need 1e16 modes of a 162-vertex mesh: refused without
+    # counting lmax up to 1e8.
+    start = time.perf_counter()
+    with pytest.raises(ResolutionError, match="mesh too coarse"):
+        random_band_field(build_icosphere(2), 0, 10**16, 1.0)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_off_roundtrip(tmp_path):

@@ -13,6 +13,7 @@ import pytest
 
 import liouvillelab as L
 from liouvillelab import DataError, ParameterError
+from liouvillelab.errors import _MAX_GRID
 
 # Parameter names that hold a count, an index or a seed wherever they occur.
 INTEGER_NAMES = {
@@ -76,11 +77,22 @@ COUNTS = {
     ),
 }
 
+# The 1D grid sizes, which are also refused just above _MAX_GRID, before
+# numpy would try to allocate them.
+GRID_ROWS = {
+    ("bubble_checks", "quadrature_n"),
+    ("disk_min_dirichlet", "grid_n"),
+    ("disk_floor_gap", "grid_n"),
+    ("check_local_mt", "grid_n"),
+    ("brezis_merle_check", "grid_n"),
+}
+
 CASES = [
     pytest.param(call, value, id=f"{entry}-{name}-{label}")
     for (entry, name), (call, below) in COUNTS.items()
     for label, value in (
-        ("2.5", 2.5), ("True", True), ("below", below), ("fraction", below + 1.5)
+        ("2.5", 2.5), ("True", True), ("below", below), ("fraction", below + 1.5),
+        *((("above", _MAX_GRID + 1),) if (entry, name) in GRID_ROWS else ()),
     )
 ]
 

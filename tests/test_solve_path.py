@@ -19,7 +19,7 @@ from liouvillelab.errors import NumericError
 from liouvillelab import mesh as mesh_module
 from liouvillelab import solver as solver_module
 from liouvillelab.energy import EIGHT_PI, _exp_operator
-from liouvillelab.mesh import _factor, _multigrid, _ordering, _solve, _v_cycle
+from liouvillelab.mesh import _dissection, _factor, _multigrid, _ordering, _solve, _v_cycle
 from liouvillelab.solver import _newton_direction
 
 SRC = Path(L.__file__).parent
@@ -86,7 +86,7 @@ SITES = {
     "flow": (_patch_spsolve, lambda ops: L.run_flow(ops, _band(ops), 1.0), "flow step"),
     "green": (_patch_splu, lambda ops: L.solve_green(ops, 0), "Green system"),
     "disk": (
-        _patch_spsolve,
+        _patch_splu,
         lambda ops: L.disk_min_dirichlet(2.0, 0.3, 1.0, grid_n=256),
         "disk Newton step",
     ),
@@ -213,7 +213,7 @@ def test_singular_green_system_is_one_error_from_any_helper(ops2):
         with pytest.raises(NumericError, match="exactly singular"):
             _factor(system, "Green system", ops.mesh)(rhs)
         with pytest.raises(NumericError, match="exactly singular"):
-            _multigrid(system, "Green system", ops.mesh)(rhs)
+            _multigrid(system, rhs, "Green system", ops.mesh)
     assert caught == []
 
 
@@ -427,6 +427,19 @@ def test_ordering_is_a_cached_permutation(ops3):
     assert _ordering(ops3.mesh) is order
 
 
+@pytest.mark.parametrize("level", range(7))
+def test_ordering_is_the_dissection_of_the_edge_graph(level):
+    # The stiffness graph (each edge both ways, plus the diagonal) gives the
+    # order of the mesh's edge graph, as adjacency lists built from its
+    # directed edges: the mesh is closed and oriented, so they list each
+    # edge both ways.
+    mesh = L.build_icosphere(level)
+    tails, heads = mesh._directed_edges()
+    rows = np.concatenate([[0], np.cumsum(np.bincount(tails, minlength=mesh.num_vertices))])
+    expected = _dissection(mesh.vertices, rows, heads[np.argsort(tails, kind="stable")])
+    assert np.array_equal(_ordering(mesh), expected)
+
+
 class _Handed(Exception):
     pass
 
@@ -528,7 +541,7 @@ def test_each_module_imports_only_its_solve_helpers():
         "flow": {"_solve"},
         "green": {"_multigrid"},
         "inequalities": {"_factor", "_lowest_modes"},
-        "solver": {"_minres", "_solve", "_v_cycle"},
+        "solver": {"_factor", "_minres", "_v_cycle"},
     }
 
 
@@ -538,8 +551,8 @@ def test_solves_do_not_make_warnings_repeat(ops2):
     system = ops2.stiffness + sp.diags(ops2.mass)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("default")
-        _solve(system, ops2.mass, "test system")
+        _solve(system, ops2.mass, "test system", ops2.mesh)
         for _ in range(3):
             np.exp(np.array([1e3]))
-            _solve(system, ops2.mass, "test system")
+            _solve(system, ops2.mass, "test system", ops2.mesh)
     assert [str(w.message) for w in caught] == ["overflow encountered in exp"]

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 from scipy.integrate import simpson
 
 from liouvillelab import (
@@ -368,14 +369,15 @@ def _continuum_disk(t, rho):
 
 
 def _count_newton_solves(monkeypatch):
+    # Each Newton step factors its KKT block once.
     calls = []
-    solve = solver._solve
+    factor = solver._factor
 
-    def counted(matrix, rhs, what, mesh=None):
+    def counted(matrix, what, *args, **options):
         calls.append(what)
-        return solve(matrix, rhs, what, mesh)
+        return factor(matrix, what, *args, **options)
 
-    monkeypatch.setattr(solver, "_solve", counted)
+    monkeypatch.setattr(solver, "_factor", counted)
     return lambda: calls.count("disk Newton step")
 
 
@@ -386,6 +388,29 @@ def test_disk_newton_starts_at_the_continuum_minimizer(t, monkeypatch):
     solves = _count_newton_solves(monkeypatch)
     disk_min_dirichlet(t * np.pi, 0.0, 1.0)
     assert 1 <= solves() <= 6
+
+
+def _spsolve_factor(matrix, what):
+    # The one-shot solve of the same KKT block, in the order given.
+    return lambda rhs: spla.spsolve(matrix.tocsc(), rhs, permc_spec="NATURAL")
+
+
+@pytest.mark.parametrize("grid_n", [256, 4096])
+@pytest.mark.parametrize(
+    "a, b, r",
+    [(np.pi, 0.0, 1.0), (2 * np.pi, 0.3, 1.0), (np.pi / 2, -1.0, 2.0), (40.0, 0.0, 1.0)],
+)
+def test_disk_newton_step_matches_a_one_shot_solve(a, b, r, grid_n, monkeypatch):
+    # The factored step and SciPy's one-shot spsolve run the same SuperLU
+    # on the same matrix: every output is bitwise the same.
+    minimum = disk_min_dirichlet(a, b, r, grid_n)
+    monkeypatch.setattr(solver, "_factor", _spsolve_factor)
+    reference = disk_min_dirichlet(a, b, r, grid_n)
+    assert minimum.value == reference.value
+    assert minimum.multiplier == reference.multiplier
+    assert minimum.residual == reference.residual
+    assert np.array_equal(minimum.radii, reference.radii)
+    assert np.array_equal(minimum.profile, reference.profile)
 
 
 def test_disk_cell_moments_match_quadrature():
