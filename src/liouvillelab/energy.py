@@ -101,12 +101,12 @@ def perturbed_functional(
     Adding a constant to u leaves the total unchanged (exactly, because the
     discrete curvature integrates to exactly 4*pi).
     """
-    u = _field("u", u, len(ops.mass))
-    epsilon = _check_epsilon(epsilon)
-    beta = EIGHT_PI - epsilon
-    dir_part = 0.5 * dirichlet_energy(ops, u)
-    curv_part = (beta / FOUR_PI) * integrate(ops, ops.curvature * u)
-    log_part = -beta * log_volume(ops, u)
+    u = _field("u", u, len(ops.mass))  # the parts below take it as checked
+    beta = EIGHT_PI - _check_epsilon(epsilon)
+    dir_part = 0.5 * float(u @ (ops.stiffness @ u))
+    curv_part = (beta / FOUR_PI) * float((ops.curvature * u) @ ops.mass)
+    shift = float(u.max())  # log_volume's overflow-safe moment
+    log_part = -beta * (shift + float(np.log(_exp_weights(ops, u - shift).sum())))
     return EnergyBreakdown(
         dir_part, curv_part, log_part, dir_part + curv_part + log_part
     )

@@ -28,7 +28,8 @@ from .mesh import (
     mobius_dilation_factor,
     random_band_field,
 )
-from .solver import _disk_ratio, disk_min_dirichlet, mass_norm, project_constraint
+from .solver import _armijo, _backtracking, _disk_ratio, disk_min_dirichlet
+from .solver import mass_norm, project_constraint
 
 SIXTEEN_PI = 16.0 * np.pi
 
@@ -208,14 +209,9 @@ def _ascend(ops, u0, kappa, metrics, cap):
     gradient, a stagnant value window or a failed line search.  Returns
     (best value, accepted steps, diverged flag).
 
-    The sufficient-increase test compares the rise ``v_try - value`` with
-    ``step * gain``: written as ``v_try >= value + step * gain`` it loses
-    its margin to rounding once ``step * gain`` is below half an ulp of
-    ``value``, and a tie (at the maximum, the mirror image of the step
-    across it) passes, so a trial oscillates at the roundoff floor until
-    the stagnation window fires.  Backtracking also stops once
-    ``value + step * slope == value``: no shorter step can then register a
-    rise, so a trial at its floor ends through the failed line search.
+    The line search is the minimizer's on the negated value, from the
+    doubled last step (see ``solver._armijo``): a trial at its roundoff
+    floor ends through the failed search.
     """
     u = project_constraint(ops, u0)
     value = log_volume(ops, u) - kappa * float(u @ (ops.stiffness @ u))
@@ -240,19 +236,14 @@ def _ascend(ops, u0, kappa, metrics, cap):
                 break
         else:
             return value, it, False
-        gain = 1e-4 * slope
-        step = min(step * 2.0, 1e3)
-        accepted = False
-        while step > 2.0**-40 and value + step * slope != value:
+        for step in _backtracking(-value, -slope, min(step * 2.0, 1e3)):
             u_try = project_constraint(ops, u + step * direction)
             v_try = log_volume(ops, u_try) - kappa * float(
                 u_try @ (ops.stiffness @ u_try)
             )
-            if v_try - value >= step * gain:
-                accepted = True
+            if _armijo(value - v_try, step, -slope):
                 break
-            step *= 0.5
-        if not accepted:
+        else:
             return value, it, False
         u, value = u_try, v_try
     return value, cap, value > _DIVERGENCE_THRESHOLD

@@ -21,10 +21,8 @@ from .errors import ConvergenceError, NumericError, ParameterError, ResolutionEr
 from .errors import _MAX_GRID, _count, _field, _real
 from .mesh import DiscreteOperators, ScalarField, _factor, _minres, _v_cycle
 
-_STEP_FLOOR = 2.0**-30
 _DISK_MAX_JUMP = np.log(2.0) / 2.0  # exp(2 v0) may at most double across a disk cell
 _H1_STEPS = 3  # H1 steps before the first Newton try and after a rejected one
-_LINE_SEARCH_SHRINK = 0.5
 _SUFFICIENT_DECREASE = 1e-4  # Armijo constant
 
 
@@ -91,6 +89,28 @@ def project_constraint(ops: DiscreteOperators, u: np.ndarray) -> ScalarField:
     return u - float((ops.curvature * u) @ ops.mass) / total
 
 
+def _backtracking(value, slope, step):
+    """The one trial-step schedule along a slope < 0 (an ascent negates both
+    value and slope): step, halved while step > 2**-40 and value + step *
+    slope != value, past which no step can register a decrease."""
+    while slope < 0.0 and step > 2.0**-40 and value + step * slope != value:
+        yield step
+        step *= 0.5
+
+
+def _armijo(change, step, slope):
+    """Sufficient decrease on the computed change value_try - value.  As
+    value_try <= value + c step slope, a tie (at a minimum, the step's mirror
+    image) passes once c step slope is below half an ulp of value; a tie's
+    0 fails here, and so does an overflowed trial's inf or NaN change."""
+    return change <= step * (_SUFFICIENT_DECREASE * slope)
+
+
+def _within_rounding(value_try, value):
+    # value_try within the rounding of value's evaluation; inf and NaN are not.
+    return abs(value_try - value) <= 64.0 * np.finfo(float).eps * max(1.0, abs(value))
+
+
 def _newton_direction(ops, epsilon, u, grad, precond):
     # Newton step of the Euler-Lagrange equation at v = u - log_volume(u),
     # where its residual is grad, by MINRES on the symmetric indefinite
@@ -111,22 +131,23 @@ def minimize_perturbed(
 
     One loop with the energy as merit function.  From the fourth step on,
     each step first tries Newton on the Euler-Lagrange equation (Jacobian
-    S - diag(beta exp(v) mass) at the unit-volume shift v), which moves
-    along the three near-null conformal modes where gradient steps crawl
-    at small epsilon; it is taken when Armijo backtracking on the energy
-    accepts it.  Otherwise, and for 3 steps after a rejected try, the step
-    is H1 gradient descent with Armijo backtracking, preconditioned by one
-    multigrid V-cycle of stiffness plus mass, which on a mesh with no
-    recorded level above 642 vertices is its exact LU (symmetric positive
-    definite either way, so the direction descends).  The Jacobian is
-    symmetric but indefinite; the Newton system is solved by MINRES with
-    that same cycle as preconditioner, and a MINRES failure rejects the
-    try like a failed line search.  Trial points are
-    projected onto the hyperplane; max_iterations caps all steps, and the
-    trace's energies never rise.  Raises ConvergenceError with the best
-    iterate attached if the gradient norm misses the tolerance when the
-    budget is spent or the energy reaches its roundoff floor, NumericError
-    if the functional overflows at the start.
+    S - diag(beta exp(v) mass) at the unit-volume shift v, symmetric but
+    indefinite, solved by MINRES on the H1 cycle below), which moves along
+    the three near-null conformal modes where gradient steps crawl at small
+    epsilon.  Its full step is taken when it passes Armijo, or when the
+    energy moves by no more than its rounding and the gradient norm falls
+    (on the roundoff floor that norm is the merit); else it backtracks from
+    1/2.  Otherwise, and for 3 steps after a try rejected by its search or
+    by a MINRES failure, the step is H1 gradient descent preconditioned by
+    one multigrid V-cycle of stiffness plus mass, the exact LU on a mesh
+    with no recorded level above 642 vertices (SPD either way, so the
+    direction descends).  Both searches are _backtracking's halvings under
+    _armijo, and trial points are projected onto the hyperplane.
+    max_iterations caps all steps; a trace energy rises by rounding at most.
+    Raises ConvergenceError with the best iterate attached if the gradient
+    norm misses the tolerance when the budget is spent or the search fails
+    on the roundoff floor, NumericError if the functional overflows at the
+    start.
     """
     if initial is None:
         initial = np.zeros(ops.mass.shape)
@@ -144,24 +165,26 @@ def minimize_perturbed(
     h1_step = 1.0
     newton_steps = rejected = 0  # rejected: last step whose Newton try failed
     for iteration in range(1, config.max_iterations + 1):
-        # 0.5 * tolerance is below every final threshold; a roundoff plateau
-        # above it ends the loop below, and the final check decides.
+        # Below every final threshold; the final check judges a floor above it.
         if grad_norm <= 0.5 * config.gradient_tolerance:
             break
         for newton in (True, False) if iteration > rejected + _H1_STEPS else (False,):
             if newton:
                 direction = _newton_direction(ops, config.epsilon, u, grad, precond)
-                step = 1.0
             else:
                 direction = -precond(grad * ops.mass)
-                step = min(h1_step * 2.0, 16.0)
             slope = 0.0 if direction is None else float((direction * grad) @ ops.mass)
-            while slope < 0.0 and step >= _STEP_FLOOR:  # descent directions only
+            steps = _backtracking(energy, slope, min(h1_step * 2.0, 16.0))
+            if newton and slope < 0.0:  # the full step is tried even at the floor
+                steps = (1.0, *_backtracking(energy, slope, 0.5))
+            for step in steps:
                 u_try = project_constraint(ops, u + step * direction)
                 energy_try = perturbed_functional(ops, u_try, config.epsilon).total
-                if energy_try <= energy + step * _SUFFICIENT_DECREASE * slope:
-                    break
-                step *= _LINE_SEARCH_SHRINK
+                armijo = _armijo(energy_try - energy, step, slope)
+                if armijo or newton and step == 1.0 and _within_rounding(energy_try, energy):
+                    grad_try = perturbed_gradient(ops, u_try, config.epsilon)
+                    if armijo or mass_norm(ops, grad_try) < grad_norm:
+                        break  # at the floor the gradient norm is the merit
             else:
                 rejected = iteration
                 continue  # fall back to the H1 direction
@@ -170,13 +193,9 @@ def minimize_perturbed(
             break  # energy is at the roundoff floor
         newton_steps += newton
         h1_step = h1_step if newton else step
-        previous = energy, grad_norm
-        u, energy = u_try, energy_try
-        grad = perturbed_gradient(ops, u, config.epsilon)
+        u, energy, grad = u_try, energy_try, grad_try
         grad_norm = mass_norm(ops, grad)
         rows.append((iteration, energy, grad_norm))
-        if energy >= previous[0] and grad_norm >= previous[1]:
-            break  # roundoff plateau: the step gained nothing
 
     v = u - log_volume(ops, u)
     peak = int(np.argmax(v))

@@ -556,3 +556,76 @@ def test_solves_do_not_make_warnings_repeat(ops2):
             np.exp(np.array([1e3]))
             _solve(system, ops2.mass, "test system", ops2.mesh)
     assert [str(w.message) for w in caught] == ["overflow encountered in exp"]
+
+
+def _step_shrinkers():
+    # (module, top-level definition) whose code shrinks a variable `step` in
+    # place: step *= f, step /= f, or step = step * f.
+    def shrinks(node):
+        if isinstance(node, ast.AugAssign):
+            target, value = node.target, None
+        elif isinstance(node, ast.Assign) and len(node.targets) == 1:
+            target, value = node.targets[0], node.value
+        else:
+            return False
+        if not (isinstance(target, ast.Name) and target.id == "step"):
+            return False
+        if value is None:
+            return isinstance(node.op, (ast.Mult, ast.Div))
+        return (
+            isinstance(value, ast.BinOp)
+            and isinstance(value.op, (ast.Mult, ast.Div))
+            and "step" in {getattr(value.left, "id", None), getattr(value.right, "id", None)}
+        )
+
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for top in tree.body:
+            if any(shrinks(node) for node in ast.walk(top)):
+                found.add((path.stem, top.name))
+    return found
+
+
+def test_one_line_search_shrinks_a_step():
+    # The minimizer and the ascent draw their trial steps from one schedule;
+    # the flow's dt halving is its accept/halve loop, not a line search.
+    assert _step_shrinkers() == {("solver", "_backtracking")}
+
+
+def _lu_newton_direction(ops, epsilon, u, grad, precond):
+    # The Newton direction from an exact LU of the Jacobian MINRES solves.
+    v = u - L.log_volume(ops, u)
+    jac = ops.stiffness - _exp_operator(ops, v, EIGHT_PI - epsilon)
+    return _factor(jac, "test Newton step", ops.mesh)(-(grad * ops.mass))
+
+
+def _warm_sweep(ops, start):
+    results = []
+    for epsilon in (0.5, 0.25, 0.1):
+        results.append(L.minimize_perturbed(ops, L.SolverConfig(epsilon=epsilon), start))
+        start = results[-1].u_min
+    return results
+
+
+@pytest.mark.parametrize(
+    "metric_seed, start",
+    [
+        (0, lambda mesh: np.zeros(mesh.num_vertices)),  # sweep-eps --metric-amp 0.3
+        (7, lambda mesh: L.random_band_field(mesh, 3, 8, 0.01)),  # the bench sweep
+    ],
+)
+def test_step_counts_survive_the_newton_solver_swap(monkeypatch, metric_seed, start):
+    # Which side of the energy's roundoff floor a Newton try lands on
+    # depends on the direction's last bits; the step and Newton counts must
+    # not.  Level 4, 8 bands of amplitude 0.3, normalized.
+    mesh = L.build_icosphere(4)
+    phi = L.random_band_field(mesh, metric_seed, 8, 0.3)
+    ops = L.assemble_operators(L.set_conformal_background(mesh, phi, normalize=True))
+    by_minres = _warm_sweep(ops, start(mesh))
+    monkeypatch.setattr(solver_module, "_newton_direction", _lu_newton_direction)
+    by_lu = _warm_sweep(ops, start(mesh))
+    for minres, lu in zip(by_minres, by_lu):
+        assert len(minres.iterations) == len(lu.iterations)
+        assert minres.polish_steps == lu.polish_steps
+        assert minres.energy == pytest.approx(lu.energy, rel=1e-13, abs=0.0)

@@ -123,6 +123,38 @@ def test_minimizer_invariants_on_bumpy_background(bumpy3):
     assert shift.max() - shift.min() <= 1e-12
 
 
+def test_schedule_halves_until_the_value_ties():
+    # 1 - 2**-54 rounds to 1: the fifth trial could not register a decrease.
+    assert list(solver._backtracking(1.0, -(2.0**-50), 1.0)) == [1.0, 0.5, 0.25, 0.125]
+    assert list(solver._backtracking(1.0, -1.0, 1.0)) == [2.0**-k for k in range(40)]
+
+
+def test_schedule_yields_nothing_at_the_roundoff_floor_or_uphill():
+    energy = -65.27
+    assert energy + 1.0 * -1e-17 == energy
+    assert list(solver._backtracking(energy, -1e-17, 1.0)) == []
+    assert list(solver._backtracking(energy, 0.0, 1.0)) == []
+    assert list(solver._backtracking(energy, 1.0, 1.0)) == []
+
+
+def test_armijo_refuses_a_tie():
+    # value_try <= value + c step slope would pass this tie: the sum rounds
+    # back to value.  The computed change is 0 and fails.
+    energy, step, slope = -65.27, 1.0, -1e-17
+    assert energy <= energy + step * solver._SUFFICIENT_DECREASE * slope
+    assert not solver._armijo(0.0, step, slope)
+    assert solver._armijo(-1e-4 * 0.5, 0.5, -1.0)
+    assert not solver._armijo(-1e-5, 0.5, -1.0)
+
+
+@pytest.mark.parametrize("energy_try", [np.inf, np.nan])
+def test_overflowed_trial_fails_both_tests(energy_try):
+    energy = -65.27
+    assert not solver._armijo(energy_try - energy, 1.0, -1.0)
+    assert not solver._within_rounding(energy_try, energy)
+    assert solver._within_rounding(np.nextafter(energy, 0.0), energy)
+
+
 def test_el_residual_is_the_last_trace_norm(bumpy3):
     # The result is the loop's last iterate, not a re-evaluation of it.
     result = minimize_perturbed(bumpy3, SolverConfig(epsilon=0.25))
