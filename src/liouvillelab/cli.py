@@ -13,7 +13,7 @@ import json
 import platform
 import sys
 import time
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -85,14 +85,22 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"not a boolean: '{text}'")
 
 
-def _option(key: str, default, convert, help_text: str):
+def _option(key: str, default, convert, help_text: str, readers, lists=()):
     """A RunSpec field that is also the flag --<key> and the config key <key>.
 
-    A boolean option defaulting to True is switched off by --no-<key>.
+    ``readers`` are the commands that read it, ``lists`` those that take
+    more than one value.  A boolean option defaulting to True is switched
+    off by --no-<key>.
     """
-    return field(
-        default=default, metadata={"key": key, "convert": convert, "help": help_text}
-    )
+    meta = dict(key=key, convert=convert, help=help_text, readers=readers, lists=lists)
+    return field(default=default, metadata=meta)
+
+
+_MINIMIZERS = ("minimize", "sweep-eps", "mean-field")
+_STARTS = (*_MINIMIZERS, "flow")  # the commands that draw a start field
+_MESHES = (*_STARTS, "green", "inequalities", "mesh-info")
+_ALL = (*_MESHES, "bubble", "disk")
+_INEQ, _DISKS = ("inequalities",), ("inequalities", "disk")
 
 
 @dataclass(frozen=True)
@@ -100,69 +108,76 @@ class RunSpec:
     """Fully resolved inputs of one harness run, and the CLI's option table.
 
     Every field but ``command`` is one option: its metadata names the flag
-    and config key and the converter from text.  tolerance, max_iterations
-    and grid_n default to None, meaning "use the library function's own
-    default"; amplitude defaults to None, meaning "use the command's own
-    start"; output_dir defaults to runs/<command>.  Up front, before any
-    work, it checks the command, that every float option is finite (the
-    manifest records every option, and JSON has no NaN or inf), that only
-    sweep-eps gets more than one --eps (every other command would use the
-    first and record the rest), and every --eps against the library's
-    epsilon rule, (0, 8*pi), so a sweep cannot fail at a late stage on a
-    bad value.  The rule also covers the inequalities command, whose --eps
-    goes to check_global_mt, although that function accepts any positive
-    epsilon.  Every other range is left to the library call, which raises
-    the same ParameterError for CLI and programmatic use.
+    and config key, the converter from text and the commands that read it.
+    tolerance, max_iterations and grid_n default to None, meaning "use the
+    library function's own default"; amplitude defaults to None, meaning
+    "use the command's own start"; output_dir defaults to runs/<command>.
+    Up front, before any work, it checks the command, that every float
+    option is finite (JSON has no NaN or inf), that only a list reader gets
+    more than one value, and every --eps against the library's epsilon
+    rule, (0, 8*pi), so a sweep cannot fail at a late stage on a bad value.
+    The rule also covers the inequalities command, whose --eps goes to
+    check_global_mt, although that function accepts any positive epsilon.
+    Every other range is left to the library call, which raises the same
+    ParameterError for CLI and programmatic use.
     """
 
     command: str
-    mesh_level: int = _option("level", 4, int, "icosphere level")
-    metric_seed: int = _option("metric-seed", 0, int, "background field seed")
+    mesh_level: int = _option("level", 4, int, "icosphere level", _MESHES)
+    metric_seed: int = _option("metric-seed", 0, int, "background field seed", _MESHES)
     metric_amplitude: float = _option(
-        "metric-amp", 0.0, float, "background field amplitude (0: round)"
+        "metric-amp", 0.0, float, "background field amplitude (0: round)", _MESHES
     )
-    epsilons: tuple = _option("eps", (0.5,), _parse_eps, "comma-separated list")
-    seed: int = _option("seed", 0, int, "top-level seed for all sampling")
-    tolerance: float | None = _option("tol", None, float, "solver tolerance")
+    epsilons: tuple = _option(
+        "eps", (0.5,), _parse_eps, "epsilon (a comma-separated list for sweep-eps)",
+        (*_MINIMIZERS, *_INEQ), lists=("sweep-eps",),
+    )
+    seed: int = _option(
+        "seed", 0, int, "top-level seed for all sampling", (*_STARTS, *_INEQ)
+    )
+    tolerance: float | None = _option("tol", None, float, "solver tolerance", _MINIMIZERS)
     max_iterations: int | None = _option(
-        "max-iter", None, int, "solver iteration cap"
+        "max-iter", None, int, "solver iteration cap", _MINIMIZERS
     )
     output_dir: str | None = _option(
-        "out", None, str, "output directory (default runs/<command>)"
+        "out", None, str, "output directory (default runs/<command>)", _ALL
     )
-    mesh_file: str | None = _option("mesh-file", None, str, "OFF mesh to load")
-    bands: int = _option("bands", 8, int, "band limit of random fields")
-    amplitude: float | None = _option("amp", None, float, "initial field size")
-    pole: int = _option("pole", 0, int, "Green function pole vertex")
-    bubble_radius: float = _option("R", 1.0, float, "bubble radius")
-    t_end: float = _option("t-end", 10.0, float, "flow end time")
-    dt0: float = _option("dt0", 0.01, float, "initial flow step")
-    a: float = _option("a", float(np.pi), float, "disk volume constraint")
-    b: float = _option("b", 0.0, float, "disk boundary value")
-    r: float = _option("r", 1.0, float, "disk radius")
-    grid_n: int | None = _option("grid-n", None, int, "radial grid size")
-    samples: int = _option("samples", 200, int, "samples per inequality suite")
-    trials: int = _option("trials", 5, int, "global ascent trials")
-    p: float = _option("p", 2.0, float, "norm exponent")
-    delta: float = _option("delta", float(2.0 * np.pi), float, "Brezis-Merle delta")
-    plots: bool = _option("plots", True, _parse_bool, "skip SVG figures")
+    mesh_file: str | None = _option("mesh-file", None, str, "OFF mesh to load", _MESHES)
+    bands: int = _option("bands", 8, int, "band limit of random fields", _MESHES)
+    amplitude: float | None = _option("amp", None, float, "initial field size", _STARTS)
+    pole: int = _option("pole", 0, int, "Green function pole vertex", ("green",))
+    bubble_radius: float = _option("R", 1.0, float, "bubble radius", ("bubble",))
+    t_end: float = _option("t-end", 10.0, float, "flow end time", ("flow",))
+    dt0: float = _option("dt0", 0.01, float, "initial flow step", ("flow",))
+    a: float = _option("a", float(np.pi), float, "disk volume constraint", ("disk",))
+    b: float = _option("b", 0.0, float, "disk boundary value", _DISKS)
+    r: float = _option("r", 1.0, float, "disk radius", _DISKS)
+    grid_n: int | None = _option(
+        "grid-n", None, int, "radial grid size", ("bubble", *_DISKS)
+    )
+    samples: int = _option("samples", 200, int, "samples per inequality suite", _INEQ)
+    trials: int = _option("trials", 5, int, "global ascent trials", _INEQ)
+    p: float = _option("p", 2.0, float, "norm exponent", _INEQ)
+    delta: float = _option("delta", float(2.0 * np.pi), float, "Brezis-Merle delta", _INEQ)
+    plots: bool = _option("plots", True, _parse_bool, "skip SVG figures", _ALL)
 
     def __post_init__(self):
         if self.command not in _HANDLERS:
             raise ParameterError(f"unknown command '{self.command}'")
         if not self.epsilons:
             raise ParameterError("at least one epsilon value is required")
-        if len(self.epsilons) > 1 and self.command != "sweep-eps":
-            raise ParameterError(
-                f"--eps takes one value for {self.command}; only sweep-eps takes a list"
-            )
+        for key, f in _OPTIONS.items():
+            value, lists = getattr(self, f.name), f.metadata["lists"]
+            if isinstance(value, tuple) and len(value) > 1 and self.command not in lists:
+                raise ParameterError(
+                    f"--{key} takes one value for {self.command}; "
+                    f"only {', '.join(lists)} takes a list"
+                )
+            # The manifest may record the option, and JSON has no NaN or inf.
+            if isinstance(value, float) and not np.isfinite(value):
+                raise ParameterError(f"--{key} must be finite, got {value}")
         for eps in self.epsilons:
             _check_epsilon(eps)
-        for f in fields(self):
-            # The manifest records every option, and JSON has no NaN or inf.
-            value = getattr(self, f.name)
-            if isinstance(value, float) and not np.isfinite(value):
-                raise ParameterError(f"--{f.metadata['key']} must be finite, got {value}")
         if self.output_dir is None:
             object.__setattr__(self, "output_dir", str(Path("runs") / self.command))
 
@@ -172,8 +187,9 @@ _OPTIONS = {f.metadata["key"]: f for f in fields(RunSpec) if f.metadata}
 
 
 def _read_config(path) -> dict:
+    """Config key -> (value, where the file gives it)."""
     values: dict = {}
-    for lineno, raw in enumerate(_text(path, "utf-8").splitlines(), start=1):
+    for lineno, raw in enumerate(_text(path, "utf-8-sig").splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -181,14 +197,15 @@ def _read_config(path) -> dict:
             raise DataError(f"config line {lineno} is not 'key = value': {raw!r}")
         key, _, val = line.partition("=")
         key, val = key.strip(), val.strip()
+        where = f"config key '{key}' (line {lineno})"
         if key not in _OPTIONS:
-            raise ParameterError(f"unknown config key '{key}' (line {lineno})")
+            raise ParameterError(f"unknown {where}")
         if key in values:
-            raise ParameterError(f"duplicate config key '{key}' (line {lineno})")
+            raise ParameterError(f"duplicate {where}")
         try:
-            values[key] = _OPTIONS[key].metadata["convert"](val)
+            values[key] = (_OPTIONS[key].metadata["convert"](val), where)
         except ValueError as exc:
-            raise ParameterError(f"bad value for config key '{key}': {exc}") from exc
+            raise ParameterError(f"bad value for {where}: {exc}") from exc
     return values
 
 
@@ -201,29 +218,35 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("command", choices=list(_HANDLERS))
     parser.add_argument("--config", default=None, help="key = value config file")
     for key, f in _OPTIONS.items():
+        text = f"{f.metadata['help']} [{', '.join(f.metadata['readers'])}]"
         if f.default is True:
             parser.add_argument(
-                f"--no-{key}", action="store_const", const=False, dest=f.name,
-                help=f.metadata["help"],
+                f"--no-{key}", action="store_const", const=False, dest=f.name, help=text
             )
         else:
             parser.add_argument(
                 f"--{key}", type=f.metadata["convert"], dest=f.name,
-                metavar=key.upper().replace("-", "_"), help=f.metadata["help"],
+                metavar=key.upper().replace("-", "_"), help=text,
             )
     return parser
 
 
 def _resolve(ns: argparse.Namespace) -> RunSpec:
-    """Each option from its flag, else the config file, else its default."""
-    cfg = _read_config(ns.config) if ns.config is not None else {}
-    values = {}
+    """Each option from its flag, else the config file, else its default;
+    an option the command does not read, or a level with a mesh file, is
+    refused before any work."""
+    given = _read_config(ns.config) if ns.config is not None else {}
     for key, f in _OPTIONS.items():
-        value = getattr(ns, f.name)
-        if value is None:
-            value = cfg.get(key)
-        if value is not None:
-            values[f.name] = value
+        if getattr(ns, f.name) is not None:
+            given[key] = (getattr(ns, f.name), f"--{key}")
+    for key, (_, where) in given.items():
+        if ns.command not in _OPTIONS[key].metadata["readers"]:
+            raise ParameterError(f"{ns.command} does not read {where}")
+    if "level" in given and "mesh-file" in given:
+        raise ParameterError(
+            f"{given['level'][1]} and {given['mesh-file'][1]} both name the mesh"
+        )
+    values = {_OPTIONS[key].name: value for key, (value, _) in given.items()}
     return RunSpec(command=ns.command, **values)
 
 
@@ -683,9 +706,12 @@ def _execute(spec: RunSpec) -> int:
     lines = _HANDLERS[spec.command](spec, out)
     from . import __version__
 
+    read = [f.name for f in _OPTIONS.values() if spec.command in f.metadata["readers"]]
+    if spec.mesh_file is not None:  # the file replaces the level
+        read.remove("mesh_level")
     manifest = {
         "command": spec.command,
-        "parameters": asdict(spec),
+        "parameters": {"command": spec.command, **{k: getattr(spec, k) for k in read}},
         "artifacts": sorted(out.names),
         "package_version": __version__,
         "python_version": platform.python_version(),

@@ -1,5 +1,6 @@
 """Harness behavior: outputs, config resolution, exit codes, rerun bytes."""
 
+import ast
 import dataclasses
 import json
 import os
@@ -334,13 +335,12 @@ class TestSingleCommands:
 
     def test_onofri_suite_runs_on_the_loaded_mesh(self, tmp_path):
         # A bumpy background is removed from the loaded mesh, not replaced
-        # by a --level icosphere.
+        # by an icosphere of the default level.
         assert run(["mesh-info", "--level", 2, "--out", tmp_path / "mesh"]) == 0
         mesh_file = tmp_path / "mesh" / "mesh.off"
         code = run(
             ["inequalities", "--mesh-file", mesh_file, "--metric-amp", 0.2,
-             "--level", 1, "--samples", 6, "--trials", 1, "--out", tmp_path,
-             "--no-plots"]
+             "--samples", 6, "--trials", 1, "--out", tmp_path, "--no-plots"]
         )
         assert code == 0
         reports = json.loads((tmp_path / "inequalities.json").read_text())
@@ -352,13 +352,13 @@ class TestSingleCommands:
 class TestConfigFile:
     def test_config_supplies_defaults(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("level = 1\n# comment line\n\nseed = 3\n")
+        cfg.write_text("level = 1\n# comment line\n\nmetric-seed = 3\n")
         out = tmp_path / "out"
         assert run(["mesh-info", "--config", cfg, "--out", out]) == 0
         assert "V=42" in capsys.readouterr().out
         manifest = json.loads((out / "run_manifest.json").read_text())
         assert manifest["parameters"]["mesh_level"] == 1
-        assert manifest["parameters"]["seed"] == 3
+        assert manifest["parameters"]["metric_seed"] == 3
 
     def test_flag_overrides_config(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -512,7 +512,9 @@ class TestExitCodes:
         # 1e14 nodes would be hundreds of TiB: refused by the range check,
         # where numpy's allocator would end in a traceback.
         out = tmp_path / "out"
-        args = [command, "--level", 1, "--samples", 3, "--grid-n", 10**14, "--out", out]
+        args = [command, "--grid-n", 10**14, "--out", out]
+        if command == "inequalities":
+            args += ["--level", 1, "--samples", 3]
         assert run(args) == 2
         (line,) = capsys.readouterr().err.splitlines()
         assert line.startswith("ParameterError in ")
@@ -521,10 +523,15 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command", sorted(set(cli._HANDLERS) - {"sweep-eps"}))
     def test_eps_list_only_for_sweep(self, tmp_path, capsys, command):
-        # Every other command would run the first value and record both.
-        assert run([command, "--level", 1, "--eps", "0.5,0.25", "--out", tmp_path]) == 2
+        # A command that reads one epsilon would run the first value and
+        # record both; a command that reads none refuses --eps itself.
+        assert run([command, "--eps", "0.5,0.25", "--out", tmp_path]) == 2
         (line,) = capsys.readouterr().err.splitlines()
-        assert line.startswith("ParameterError in ") and "only sweep-eps" in line
+        if command in ("minimize", "mean-field", "inequalities"):
+            assert line.startswith("ParameterError in ") and "only sweep-eps" in line
+        else:
+            expected = f"{command} does not read --eps"
+            assert line == f"ParameterError in cli.parse_and_run: {expected}"
         assert not any(tmp_path.iterdir())
 
     def test_bad_bubble_radius(self, tmp_path):
@@ -584,10 +591,10 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "args",
         [
-            # --amp is unused here; the run used to finish and then exit 4
-            # on the manifest, which records every option.
-            ["inequalities", "--level", 1, "--samples", 3, "--trials", 1, "--amp", "inf"],
-            ["mesh-info", "--level", 1, "--R", "nan"],
+            # Both are read: --p only by the fifth suite, after the others
+            # ran, and --metric-amp also by the manifest.
+            ["inequalities", "--level", 1, "--samples", 3, "--trials", 1, "--p", "inf"],
+            ["mesh-info", "--level", 1, "--metric-amp", "nan"],
         ],
     )
     def test_non_finite_option_is_refused_before_work(self, tmp_path, capsys, args):
@@ -786,6 +793,142 @@ class TestOptionTable:
         assert seen["minimize"][0][1] == SolverConfig(epsilon=0.5)
         assert set(seen["mean-field"][1]) == {"initial"}
 
+
+
+def _declared(command):
+    """The RunSpec fields the command reads, by the option declarations."""
+    return {f.name for f in cli._OPTIONS.values() if command in f.metadata["readers"]}
+
+
+def _spec_reads():
+    """Command -> the spec.<field> reads of its handler, of the module's
+    functions it passes spec to, and of the _Artifacts call in _execute."""
+    tree = ast.parse(Path(cli.__file__).read_text())
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+
+    def is_spec(node):
+        return isinstance(node, ast.Name) and node.id == "spec"
+
+    def reads(top):
+        found = set()
+        for node in ast.walk(top):
+            if isinstance(node, ast.Attribute) and is_spec(node.value):
+                found.add(node.attr)
+            elif isinstance(node, ast.Call) and any(map(is_spec, node.args)):
+                if isinstance(node.func, ast.Name) and node.func.id in functions:
+                    found |= reads(functions[node.func.id])
+        return found
+
+    (artifacts,) = [
+        node for node in ast.walk(functions["_execute"])
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_Artifacts"
+    ]
+    shared = reads(artifacts)
+    assert shared == {"output_dir", "plots"}
+    return {
+        command: reads(functions[handler.__name__]) | shared
+        for command, handler in cli._HANDLERS.items()
+    }
+
+
+class TestOptionReaders:
+    # Small runs of all nine commands.
+    RUNS = {
+        "minimize": ["--level", 1],
+        "sweep-eps": ["--level", 1, "--eps", "0.5,0.25"],
+        "mean-field": ["--level", 1],
+        "green": ["--level", 2],
+        "bubble": [],
+        "flow": ["--level", 1, "--t-end", 0.5],
+        "inequalities": ["--level", 1, "--samples", 3, "--trials", 1],
+        "disk": ["--grid-n", 512],
+        "mesh-info": ["--level", 1],
+    }
+
+    def test_each_handler_reads_exactly_its_declared_options(self):
+        # A handler that starts reading an option it does not declare, or
+        # stops reading one it does, fails here.
+        assert {c for f in cli._OPTIONS.values() for c in f.metadata["readers"]} == set(
+            cli._HANDLERS
+        )
+        reads = _spec_reads()
+        for command in cli._HANDLERS:
+            assert reads[command] == _declared(command), command
+
+    @pytest.mark.parametrize("command", list(RUNS))
+    def test_manifest_records_exactly_the_options_read(self, tmp_path, command):
+        assert list(self.RUNS) == list(cli._HANDLERS)
+        assert run([command, *self.RUNS[command], "--no-plots", "--out", tmp_path]) == 0
+        manifest = json.loads((tmp_path / "run_manifest.json").read_text())
+        assert set(manifest["parameters"]) == {"command"} | _declared(command)
+
+    def test_foreign_flag_is_one_typed_line_before_work(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        args = ["disk", "--samples", 3, "--trials", 7, "--level", 6, "--out", out]
+        assert run(args) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert re.fullmatch(
+            r"ParameterError in cli\.parse_and_run: disk does not read --(samples|trials|level)",
+            line,
+        )
+        assert not out.exists()
+
+    def test_foreign_config_key_names_its_line(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("r = 2\nsamples = 3\n")
+        out = tmp_path / "out"
+        assert run(["disk", "--config", cfg, "--out", out]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line == (
+            "ParameterError in cli.parse_and_run: "
+            "disk does not read config key 'samples' (line 2)"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        ("config", "flags", "named"),
+        [
+            ("", ["--level", 1, "--mesh-file", "m.off"], "--level and --mesh-file"),
+            ("level = 1\n", ["--mesh-file", "m.off"], "config key 'level' (line 1) and --mesh-file"),
+            (
+                "mesh-file = m.off\nlevel = 1\n", [],
+                "config key 'level' (line 2) and config key 'mesh-file' (line 1)",
+            ),
+        ],
+        ids=["flags", "mixed", "config"],
+    )
+    def test_level_with_mesh_file_is_refused(self, tmp_path, capsys, config, flags, named):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config)
+        out = tmp_path / "out"
+        assert run(["mesh-info", "--config", cfg, *flags, "--out", out]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line == f"ParameterError in cli.parse_and_run: {named} both name the mesh"
+        assert not out.exists()
+
+    def test_mesh_file_run_records_no_level(self, tmp_path):
+        assert run(["mesh-info", "--level", 1, "--out", tmp_path / "a"]) == 0
+        mesh_file = tmp_path / "a" / "mesh.off"
+        assert run(["mesh-info", "--mesh-file", mesh_file, "--out", tmp_path / "b"]) == 0
+        manifest = json.loads((tmp_path / "b" / "run_manifest.json").read_text())
+        assert manifest["parameters"]["mesh_file"] == str(mesh_file)
+        assert "mesh_level" not in manifest["parameters"]
+
+    def test_config_with_byte_order_mark_gives_the_same_run(self, tmp_path):
+        # Editors may save UTF-8 with a BOM; it is not part of the first key.
+        for name, prefix in (("plain", b""), ("bom", b"\xef\xbb\xbf")):
+            (tmp_path / f"{name}.cfg").write_bytes(prefix + b"level = 1\n")
+            args = ["mesh-info", "--config", tmp_path / f"{name}.cfg"]
+            assert run(args + ["--out", tmp_path / name]) == 0
+        for artifact in ("mesh_info.json", "mesh.off"):
+            plain = (tmp_path / "plain" / artifact).read_bytes()
+            assert (tmp_path / "bom" / artifact).read_bytes() == plain
+
+    def test_help_names_each_options_readers(self):
+        helps = {action.dest: action.help for action in cli._build_parser()._actions}
+        for f in cli._OPTIONS.values():
+            assert helps[f.name].endswith(f" [{', '.join(f.metadata['readers'])}]")
+        assert helps["grid_n"] == "radial grid size [bubble, inequalities, disk]"
 
 def test_line_plot_keeps_each_pixel_columns_extremes_in_order(tmp_path):
     # 40,961 points, the level-6 Green figure's count, on a 560-pixel-wide
