@@ -69,7 +69,8 @@ def _guarded_step(ops, u, energy, dt):
 
     The given dt is always tried, even below the floor; a halved one only
     while it is at least the floor.  Returns (u_new, energy_new, dt_used),
-    or None once no dt is left to try.  The slack is 1e-12 relative.
+    and raises a stiffness NumericError once no dt is left to try.  The
+    slack is 1e-12 relative.
     """
     while True:
         u_new = _semi_implicit(ops, u, dt)
@@ -78,7 +79,9 @@ def _guarded_step(ops, u, energy, dt):
             return u_new, energy_new, dt
         dt *= 0.5
         if dt < _DT_FLOOR:
-            return None
+            raise NumericError(
+                f"flow step rejected down to dt floor {_DT_FLOOR:g} (stiff state)"
+            )
 
 
 def flow_step(ops: DiscreteOperators, u: ScalarField, dt: float) -> ScalarField:
@@ -91,12 +94,7 @@ def flow_step(ops: DiscreteOperators, u: ScalarField, dt: float) -> ScalarField:
     """
     dt = _real("dt", dt, 0.0)
     u0 = _renormalize(ops, _field("u", u, len(ops.mass)))
-    step = _guarded_step(ops, u0, liouville_energy(ops, u0).total, dt)
-    if step is None:
-        raise NumericError(
-            f"flow step rejected down to dt floor {_DT_FLOOR:g} (stiff state)"
-        )
-    return step[0]
+    return _guarded_step(ops, u0, liouville_energy(ops, u0).total, dt)[0]
 
 
 def run_flow(
@@ -126,12 +124,7 @@ def run_flow(
     dt = dt0
     try:
         while t < t_end - 1e-12:
-            step = _guarded_step(ops, u, energy, min(dt, t_end - t))
-            if step is None:
-                raise NumericError(
-                    f"flow became stiff at t = {t:.6g} (dt floor {_DT_FLOOR:g})"
-                )
-            u, energy, dt_used = step
+            u, energy, dt_used = _guarded_step(ops, u, energy, min(dt, t_end - t))
             t += dt_used
             dt = min(dt_used * _DT_GROWTH, _DT_CAP)
             record(t, u, energy, dt_used)

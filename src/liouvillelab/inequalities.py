@@ -19,7 +19,7 @@ import scipy.sparse as sp
 from scipy.integrate import cumulative_trapezoid, simpson
 
 from .energy import _exp_density, _exp_operator, _exp_weights, log_volume, onofri_deficit
-from .errors import _MAX_GRID, NumericError, ParameterError, _count, _real
+from .errors import _MAX_GRID, NumericError, ParameterError, ResolutionError, _count, _real
 from .mesh import (
     FOUR_PI,
     DiscreteOperators,
@@ -37,6 +37,16 @@ _SEED_STRIDE = 1_000_003
 
 _ASCENT_CAP = 5000
 _DIVERGENCE_THRESHOLD = 1.0e6
+
+# The fixed sampling and effort of the suites: the radial disk fields' bands,
+# the Onofri band fields' largest amplitude and dilation scale, and the
+# Poincare eigenfields, ascent starts and ascent steps.
+_DISK_MODES = 6
+_ONOFRI_AMPLITUDE_MAX = 1.5
+_ONOFRI_DILATION_MAX = 4.0
+_POINCARE_MODES = 30
+_POINCARE_STARTS = 8
+_POINCARE_ITERATIONS = 400
 
 
 @dataclass
@@ -97,61 +107,49 @@ def _sampled_report(name, samples, seed, margin_of, parameters):
     )
 
 
-def _radial_disk_field(rng, grid, modes, amplitude_scale):
+def _radial_disk_field(rng, grid):
     # Zero-boundary radial band on the unit disk: cos((k - 1/2) pi rho)
     # vanishes at rho = 1.
-    coeffs = rng.standard_normal(modes)
-    amp = rng.uniform(0.2, 2.0) * amplitude_scale
-    k = np.arange(1, modes + 1) - 0.5
+    coeffs = rng.standard_normal(_DISK_MODES)
+    amp = rng.uniform(0.2, 2.0)
+    k = np.arange(1, _DISK_MODES + 1) - 0.5
     phases = np.pi * np.outer(grid, k)
     u = amp * (np.cos(phases) @ coeffs)
     du = -amp * (np.sin(phases) @ (coeffs * k * np.pi))
     return u, du
 
 
-def check_local_mt(
-    r: float,
-    samples: int,
-    seed: int,
-    epsilon: float = 0.0,
-    amplitude_scale: float = 1.0,
-    modes: int = 6,
-    grid_n: int = 2048,
-) -> InequalityReport:
+def check_local_mt(r: float, samples: int, seed: int, grid_n: int = 2048) -> InequalityReport:
     """Exponential-moment bound for zero-boundary fields on a disk.
 
     For each random radial field u with u(r) = 0 the margin is
 
-        ln(pi r^2 e) + (1/(16 pi) + epsilon) int |grad u|^2 - ln int e^u,
+        ln(pi r^2 e) + 1/(16 pi) int |grad u|^2 - ln int e^u,
 
-    nonnegative in the continuum for epsilon >= 0.  ``epsilon`` sharpens
-    the exponent (the small-radius variant), ``amplitude_scale`` stresses
-    the scaling behavior.  The fields are u(rho) = U(rho / r), so the
-    margin does not depend on r: it is evaluated on the unit disk, and r is
-    only validated and recorded.
+    nonnegative in the continuum.  The fields are u(rho) = U(rho / r), so
+    the margin does not depend on r: it is evaluated on the unit disk, and
+    r is only validated and recorded.
     """
     r = _real("r", r, 0.0)
     samples = _count("samples", samples, 1)
-    epsilon = _real("epsilon", epsilon, 0.0, closed=True)
-    amplitude_scale = _real("amplitude_scale", amplitude_scale)
-    modes = _count("modes", modes, 1)
     # 0 or 1 cells gave +inf margins; disk_min_dirichlet's floor
     grid_n = _count("grid_n", grid_n, 256, _MAX_GRID)
     grid = np.linspace(0.0, 1.0, grid_n + 1)
     bound_const = np.log(np.pi) + 1.0
-    coeff = 1.0 / SIXTEEN_PI + epsilon
+    coeff = 1.0 / SIXTEEN_PI
 
     def margin_of(i, s_i, rng):
-        u, du = _radial_disk_field(rng, grid, modes, amplitude_scale)
+        u, du = _radial_disk_field(rng, grid)
         dirichlet = 2.0 * np.pi * simpson(du * du * grid, x=grid)
         exp_int = 2.0 * np.pi * simpson(np.exp(u) * grid, x=grid)
         return bound_const + coeff * dirichlet - np.log(exp_int)
 
+    # The exponent's excess and the amplitude scale are fixed at 0 and 1.
     parameters = {
         "r": r,
-        "epsilon": epsilon,
-        "amplitude_scale": amplitude_scale,
-        "modes": modes,
+        "epsilon": 0.0,
+        "amplitude_scale": 1.0,
+        "modes": _DISK_MODES,
         "grid_n": grid_n,
     }
     return _sampled_report(
@@ -324,66 +322,59 @@ def check_global_mt(
     return report
 
 
-def onofri_suite(
-    ops: DiscreteOperators,
-    samples: int,
-    seed: int,
-    amplitude_max: float = 1.5,
-    dilation_max: float = 4.0,
-) -> InequalityReport:
+def onofri_suite(ops: DiscreteOperators, samples: int, seed: int) -> InequalityReport:
     """Sharp exponential-moment deficits over random and dilation fields.
 
     Requires a round background (the deficit is only defined there).  Odd
-    samples draw band fields, even samples (past the first) draw dilation
-    factors with log-uniform scale in [1/dilation_max, dilation_max]; the
-    dilations are near-equality cases, so they probe the sharp constant.
-    dilation_max is at most 1e150, so every drawn scale's square stays in
-    the floating-point range.  Margins are the deficits themselves:
-    nonnegative up to discretization.
+    samples draw band fields of RMS amplitude up to 1.5, even samples (past
+    the first) draw dilation factors with log-uniform scale in [1/4, 4];
+    the dilations are near-equality cases, so they probe the sharp
+    constant.  Margins are the deficits themselves: nonnegative up to
+    discretization.
     """
     samples = _count("samples", samples, 1)
-    amplitude_max = _real("amplitude_max", amplitude_max, 0.0)
-    dilation_max = _real("dilation_max", dilation_max, 1.0, 1e150, closed=True)
+    log_dilation = np.log(_ONOFRI_DILATION_MAX)
 
     def margin_of(i, s_i, rng):
         if i == 0:
             u = np.zeros(ops.mass.shape)
         elif i % 2 == 0:
-            loglam = rng.uniform(-np.log(dilation_max), np.log(dilation_max))
+            loglam = rng.uniform(-log_dilation, log_dilation)
             u = mobius_dilation_factor(ops.mesh, float(np.exp(loglam)))
         else:
             bands = int(rng.integers(2, 10))
-            amp = float(rng.uniform(0.1, amplitude_max))
+            amp = float(rng.uniform(0.1, _ONOFRI_AMPLITUDE_MAX))
             u = random_band_field(ops.mesh, s_i, bands, amp)
         return onofri_deficit(ops, u)
 
-    parameters = {"amplitude_max": amplitude_max, "dilation_max": dilation_max}
+    parameters = {
+        "amplitude_max": _ONOFRI_AMPLITUDE_MAX,
+        "dilation_max": _ONOFRI_DILATION_MAX,
+    }
     return _sampled_report("onofri_deficit", samples, seed, margin_of, parameters)
 
 
-def poincare_constant(
-    ops: DiscreteOperators,
-    p: float,
-    modes: int = 30,
-    starts: int = 8,
-    seed: int = 0,
-    iterations: int = 400,
-) -> InequalityReport:
+def poincare_constant(ops: DiscreteOperators, p: float, seed: int = 0) -> InequalityReport:
     """Best constant c_p in (int |u|^p)^(2/p) <= c_p int |grad u|^2 over
     the curvature-pairing constraint.
 
     p = 2: exact reduction to a dense generalized eigenproblem over the
-    lowest ``modes`` eigenfields plus the constant direction (constants
-    cost no Dirichlet energy but are constrained through the pairing).
-    p != 2: multi-start projected gradient ascent on the log quotient.
-    The constant is reported in parameters["c_p"]; worst_margin is 0 by
+    lowest 30 eigenfields plus the constant direction (constants cost no
+    Dirichlet energy but are constrained through the pairing).  p != 2:
+    projected gradient ascent on the log quotient from 8 random starts in
+    those eigenfields, 400 steps each.  A mesh of fewer than 33 vertices
+    cannot hold the 30 eigenfields and raises ResolutionError.  The
+    constant is reported in parameters["c_p"]; worst_margin is 0 by
     convention (the inequality defines c_p rather than bounding it).
     """
     p = _real("p", p, 1.0, closed=True)
-    modes = _count("modes", modes, 1, ops.mass.shape[0] - 3)
-    starts = _count("starts", starts, 1)
     seed = _count("seed", seed, 0)
-    iterations = _count("iterations", iterations, 0)
+    modes = _POINCARE_MODES
+    if modes > ops.mass.shape[0] - 3:
+        raise ResolutionError(
+            f"the Poincare constant's {modes} eigenfields need at least {modes + 3} "
+            f"vertices, got {ops.mass.shape[0]}"
+        )
     vals, vecs = _lowest_modes(
         ops.stiffness, ops.mass, modes + 1, "Poincare eigensolve", ops.mesh
     )
@@ -408,7 +399,7 @@ def poincare_constant(
 
         def margin_of(i, s_i, rng):
             u = _tangent_project(ops, vecs @ rng.standard_normal(modes))
-            for _ in range(iterations):
+            for _ in range(_POINCARE_ITERATIONS):
                 norm2 = float((u * u) @ ops.mass)
                 if norm2 < 1e-30:
                     break
@@ -430,8 +421,8 @@ def poincare_constant(
             return -quotient
 
         # The largest quotient is the smallest margin; negation is exact.
-        ascent = _sampled_report("poincare_constant", starts, seed, margin_of, {})
-        report_samples, c_p, worst_seed = starts, -ascent.worst_margin, ascent.worst_seed
+        ascent = _sampled_report("poincare_constant", _POINCARE_STARTS, seed, margin_of, {})
+        report_samples, c_p, worst_seed = ascent.samples, -ascent.worst_margin, ascent.worst_seed
     return InequalityReport(
         name="poincare_constant",
         samples=report_samples,
@@ -505,7 +496,7 @@ def brezis_merle_check(
                 -(grid**2) / (2.0 * sigma * sigma)
             )
         elif kind == 1:
-            f_values, _ = _radial_disk_field(rng, grid, 6, 1.0)
+            f_values, _ = _radial_disk_field(rng, grid)
         else:
             s1, s2 = rng.choice(widths, size=2, replace=False)
             f_values = np.exp(-(grid**2) / (2 * s1 * s1)) - rng.uniform(

@@ -763,7 +763,11 @@ def random_band_field(
     rms = np.sqrt((out * out) @ weights / weights.sum())
     if rms < 1e-300:
         raise NumericError("degenerate random field (zero RMS)")
-    return out * (amplitude / rms)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out *= amplitude / rms
+    if not np.isfinite(out).all():
+        raise ParameterError(f"amplitude = {amplitude!r} overflows the field")
+    return out
 
 
 def mobius_dilation_factor(mesh: TriangulatedSphere, lam: float) -> ScalarField:
@@ -1038,6 +1042,8 @@ def read_off_mesh(path) -> TriangulatedSphere:
     tokens = " ".join(lines[1:]).split()
     try:
         nv, nf = int(tokens[0]), int(tokens[1])
+        if nv < 0 or nf < 0:
+            raise DataError(f"malformed OFF file: negative counts {nv} vertices, {nf} faces")
         pos = 3
         verts = np.array(tokens[pos : pos + 3 * nv], dtype=np.float64).reshape(nv, 3)
         pos += 3 * nv
@@ -1056,8 +1062,14 @@ def read_off_mesh(path) -> TriangulatedSphere:
 
 def write_field_csv(path, values: np.ndarray) -> None:
     """Write a vertex field as 'vertex,value' CSV rows with LF line ends; the
-    values must be finite (NumericError), and an unwritable path is a DataError."""
-    values = np.asarray(values, dtype=np.float64)
+    values must be a 1-D real array (DataError) and finite (NumericError), and
+    an unwritable path is a DataError."""
+    array = np.asarray(values)
+    if array.ndim != 1 or array.dtype.kind not in "iuf":
+        raise DataError(
+            f"field file {path} needs a 1-D real array, got {array.dtype} {array.shape}"
+        )
+    values = array.astype(np.float64)
     if not np.isfinite(values).all():
         raise NumericError(f"non-finite value in field file {path}")
     lines = ["vertex,value"] + [f"{i},{val:.17g}" for i, val in enumerate(values)]

@@ -684,6 +684,22 @@ class TestExitCodes:
         assert proc.returncode == 2
         assert proc.stderr == "DataError in mesh.read_off_mesh: mesh has no faces\n"
 
+    @pytest.mark.parametrize(
+        "args",
+        [["mesh-info", "--metric-amp", "1e308"], ["flow", "--amp", "1e308"]],
+        ids=["metric-amp", "amp"],
+    )
+    def test_overflowing_band_amplitude_stderr_is_one_typed_line(self, tmp_path, args):
+        # The band field refuses the amplitude, with no numpy warning ahead
+        # and no later refusal of the field it would have made.
+        proc = run_module([*args, "--level", 2, "--out", tmp_path])
+        assert proc.returncode == 2
+        assert re.fullmatch(
+            r"ParameterError in mesh\.random_band_field: amplitude = 1e\+308 overflows "
+            r"the field\n",
+            proc.stderr,
+        )
+
     @pytest.mark.parametrize("r", ["1e-200", "1e200"])
     def test_extreme_disk_radius_stderr_is_one_typed_line(self, tmp_path, r):
         # pi r^2 underflows or overflows: refused, with no warning ahead

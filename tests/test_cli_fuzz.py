@@ -14,6 +14,8 @@ import io
 import json
 import math
 import re
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -132,3 +134,23 @@ def _check(args, foreign):
 
 def _reject_constant(name):
     raise AssertionError(f"non-finite JSON constant {name}")
+
+
+def test_a_failing_fuzz_reports_its_falsifying_example(tmp_path):
+    # Under the repository's warning filters, hypothesis's report hook must
+    # print the example that broke a test, not end pytest in INTERNALERROR.
+    (tmp_path / "test_fails.py").write_text(
+        "from hypothesis import given, strategies as st\n\n\n"
+        "@given(st.integers())\n"
+        "def test_fails(x):\n"
+        "    assert x < 5\n"
+    )
+    config = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-c", str(config), "--rootdir", str(tmp_path),
+         "-p", "no:cacheprovider", "test_fails.py"],
+        capture_output=True, text=True, cwd=tmp_path, timeout=120,
+    )
+    assert proc.returncode == 1
+    assert "Falsifying example" in proc.stdout
+    assert "INTERNALERROR" not in proc.stdout + proc.stderr

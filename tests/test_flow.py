@@ -124,6 +124,16 @@ class TestFailurePaths:
         assert len(trace.times) >= 1
         assert trace.times[0] == 0.0
 
+    def test_stiff_step_is_numeric_error(self, ops3):
+        # From the state where the sign-flipped run stalled, one step halves
+        # dt down to the floor.
+        bad = dataclasses.replace(ops3, stiffness=-ops3.stiffness)
+        with pytest.raises(NumericError) as info:
+            run_flow(bad, 0.2 * ops3.mesh.vertices[:, 2], 1.0)
+        stalled = info.value.trace.final_field
+        with pytest.raises(NumericError, match=r"dt floor 1e-08 \(stiff state\)"):
+            flow_step(bad, stalled, 0.01)
+
     def test_failed_solve_attaches_partial_trace(self, ops2, monkeypatch):
         # the fourth step's solve returns NaN: the run stops with the
         # three accepted steps before it attached

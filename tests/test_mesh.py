@@ -87,8 +87,11 @@ def test_topology_validation_rejects_broken_meshes():
         ("OFF\n0 1 0\n3 0 1 2\n", "face indices out of range"),
         # V - E + F = 2 - 0 + 0: the Euler check alone would pass it
         ("OFF\n2 0 0\n1 0 0\n-1 0 0\n", "no faces"),
+        # a negative count would slice the tokens from the end
+        ("OFF\n-4 0 0\n1 0 0\n-1 0 0\n0 0 1\n", "negative counts -4 vertices, 0 faces"),
+        ("OFF\n-2 -1 0\n1 0 0\n-1 0 0\n", "negative counts -2 vertices, -1 faces"),
     ],
-    ids=["empty", "faces-without-vertices", "two-vertices"],
+    ids=["empty", "faces-without-vertices", "two-vertices", "negative-vertices", "negative-both"],
 )
 def test_meshes_without_faces_or_vertices_refused(tmp_path, text, message):
     path = tmp_path / "mesh.off"
@@ -216,6 +219,11 @@ def test_band_field_reproducibility_and_statistics(ops4):
     assert abs(rms - 0.5) <= 1e-12
 
     assert not random_band_field(mesh, 1, 4, 0.0).any()
+
+
+def test_band_field_refuses_an_overflowing_amplitude():
+    with pytest.raises(ParameterError, match="amplitude = 1e[+]308 overflows"):
+        random_band_field(build_icosphere(2), 0, 3, 1e308)
 
 
 def test_band_field_consistent_across_levels():
@@ -685,6 +693,20 @@ def test_field_csv_roundtrip_and_validation(tmp_path, rng):
     with pytest.raises(NumericError):
         write_field_csv(tmp_path / "inf.csv", values)
     assert not (tmp_path / "inf.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "values",
+    [np.zeros((2, 3)), np.float64(1.0), ["0.5", "1.0"], np.array([1.0, 1j]), [True, False]],
+    ids=["2-D", "scalar", "strings", "complex", "bool"],
+)
+def test_field_writer_refuses_non_real_or_non_vector(tmp_path, values):
+    # Refused rather than a TypeError, a ValueError or a silently dropped
+    # imaginary part.
+    path = tmp_path / "f.csv"
+    with pytest.raises(DataError, match=f"field file {re.escape(str(path))} needs a 1-D real"):
+        write_field_csv(path, values)
+    assert not path.exists()
 
 
 def test_mass_rescale_is_logged_and_small(ops3):

@@ -54,22 +54,12 @@ COUNTS = {
     ("sample_seed", "seed"): (lambda ops, v: L.sample_seed(v, 0), -1),
     ("check_local_mt", "samples"): (lambda ops, v: L.check_local_mt(1.0, v, 0), 0),
     ("check_local_mt", "seed"): (lambda ops, v: L.check_local_mt(1.0, 3, v), -1),
-    ("check_local_mt", "modes"): (lambda ops, v: L.check_local_mt(1.0, 3, 0, modes=v), 0),
     ("check_local_mt", "grid_n"): (lambda ops, v: L.check_local_mt(1.0, 3, 0, grid_n=v), 255),
     ("check_global_mt", "trials"): (lambda ops, v: L.check_global_mt(ops, 0.5, v, 0), 0),
     ("check_global_mt", "seed"): (lambda ops, v: L.check_global_mt(ops, 0.5, 2, v), -1),
     ("onofri_suite", "samples"): (lambda ops, v: L.onofri_suite(ops, v, 0), 0),
     ("onofri_suite", "seed"): (lambda ops, v: L.onofri_suite(ops, 3, v), -1),
-    ("poincare_constant", "modes"): (lambda ops, v: L.poincare_constant(ops, 2.0, modes=v), 0),
-    ("poincare_constant", "starts"): (
-        lambda ops, v: L.poincare_constant(ops, 3.0, starts=v, iterations=5), 0
-    ),
-    ("poincare_constant", "seed"): (
-        lambda ops, v: L.poincare_constant(ops, 3.0, starts=2, seed=v, iterations=5), -1
-    ),
-    ("poincare_constant", "iterations"): (
-        lambda ops, v: L.poincare_constant(ops, 3.0, starts=2, iterations=v), -1
-    ),
+    ("poincare_constant", "seed"): (lambda ops, v: L.poincare_constant(ops, 3.0, seed=v), -1),
     ("brezis_merle_check", "samples"): (lambda ops, v: L.brezis_merle_check(1.0, np.pi, v, 0), 0),
     ("brezis_merle_check", "seed"): (lambda ops, v: L.brezis_merle_check(1.0, np.pi, 3, v), -1),
     ("brezis_merle_check", "grid_n"): (

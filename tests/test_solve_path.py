@@ -103,7 +103,7 @@ SITES = {
     "round_eigensolve": (_patch_splu, _fresh_band, "round eigensolve"),
     "poincare_eigensolve": (
         _patch_splu,
-        lambda ops: L.poincare_constant(ops, 2.0, modes=8),
+        lambda ops: L.poincare_constant(ops, 2.0),
         "Poincare eigensolve",
     ),
 }
